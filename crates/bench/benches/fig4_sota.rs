@@ -11,7 +11,7 @@ use pe_bench::study::run_selected;
 use pe_bench::{fig4, BudgetPreset};
 
 fn bench(c: &mut Criterion) {
-    let budget = BudgetPreset::from_env(BudgetPreset::Quick);
+    let budget = BudgetPreset::from_env(BudgetPreset::Quick).unwrap_or_else(|err| panic!("{err}"));
     let selected = run_selected(budget, 0);
     let engines = fig4::paper_engines();
     let tech = pe_hw::TechLibrary::egfet();

@@ -14,7 +14,7 @@ use pe_mlp::{fixed_to_hardware, FixedMlp, QuantConfig, Topology, TrainConfig};
 
 fn bench(c: &mut Criterion) {
     // Print the table once, from a quick run.
-    let budget = BudgetPreset::from_env(BudgetPreset::Quick);
+    let budget = BudgetPreset::from_env(BudgetPreset::Quick).unwrap_or_else(|err| panic!("{err}"));
     let studies = run_studies(budget, 0);
     let rows = table1::rows(&studies);
     println!("{}", table1::render(&rows));

@@ -38,7 +38,10 @@ fn main() {
             sweep::sweep_designs(&designs)
         }
         None => {
-            let budget = BudgetPreset::from_env(BudgetPreset::Full);
+            let budget = BudgetPreset::from_env(BudgetPreset::Full).unwrap_or_else(|err| {
+                eprintln!("error: {err}");
+                std::process::exit(2);
+            });
             let studies = run_studies(budget, 0);
             sweep::sweep(&studies)
         }

@@ -10,7 +10,10 @@ use pe_bench::study::run_selected;
 use pe_bench::{fig4, BudgetPreset};
 
 fn main() {
-    let budget = BudgetPreset::from_env(BudgetPreset::Full);
+    let budget = BudgetPreset::from_env(BudgetPreset::Full).unwrap_or_else(|err| {
+        eprintln!("error: {err}");
+        std::process::exit(2);
+    });
     let selected = run_selected(budget, 0);
     let engines = fig4::paper_engines();
     let tech = pe_hw::TechLibrary::egfet();

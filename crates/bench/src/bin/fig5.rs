@@ -8,7 +8,10 @@ use pe_bench::study::run_studies;
 use pe_bench::{fig5, BudgetPreset};
 
 fn main() {
-    let budget = BudgetPreset::from_env(BudgetPreset::Full);
+    let budget = BudgetPreset::from_env(BudgetPreset::Full).unwrap_or_else(|err| {
+        eprintln!("error: {err}");
+        std::process::exit(2);
+    });
     let studies = run_studies(budget, 0);
     let rows: Vec<_> = studies.iter().map(fig5::row).collect();
     println!("{}", fig5::render(&rows));

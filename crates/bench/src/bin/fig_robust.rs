@@ -11,7 +11,10 @@ use pe_bench::format::write_json;
 use pe_bench::{robust, BudgetPreset};
 
 fn main() {
-    let budget = BudgetPreset::from_env(BudgetPreset::Full);
+    let budget = BudgetPreset::from_env(BudgetPreset::Full).unwrap_or_else(|err| {
+        eprintln!("error: {err}");
+        std::process::exit(2);
+    });
     let rows = robust::compare(budget, 0);
     println!("{}", robust::render(&rows));
     println!("{}", robust::summary(&rows));

@@ -11,7 +11,10 @@ use pe_bench::format::write_json;
 use pe_bench::{island, BudgetPreset};
 
 fn main() {
-    let budget = BudgetPreset::from_env(BudgetPreset::Full);
+    let budget = BudgetPreset::from_env(BudgetPreset::Full).unwrap_or_else(|err| {
+        eprintln!("error: {err}");
+        std::process::exit(2);
+    });
     let report = island::sweep(budget, 0);
     println!("{}", island::render(&report));
     println!("note: {}", report.note);

@@ -10,7 +10,10 @@ use pe_bench::study::run_studies;
 use pe_bench::{table2, BudgetPreset};
 
 fn main() {
-    let budget = BudgetPreset::from_env(BudgetPreset::Full);
+    let budget = BudgetPreset::from_env(BudgetPreset::Full).unwrap_or_else(|err| {
+        eprintln!("error: {err}");
+        std::process::exit(2);
+    });
     let studies = run_studies(budget, 0);
     let rows = table2::rows(&studies);
     println!("{}", table2::render(&rows));

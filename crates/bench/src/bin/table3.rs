@@ -9,7 +9,11 @@ use pe_bench::BudgetPreset;
 use pe_datasets::Dataset;
 
 fn main() {
-    let budget = match BudgetPreset::from_env(BudgetPreset::Full) {
+    let preset = BudgetPreset::from_env(BudgetPreset::Full).unwrap_or_else(|err| {
+        eprintln!("error: {err}");
+        std::process::exit(2);
+    });
+    let budget = match preset {
         BudgetPreset::Quick => Table3Budget::quick(),
         BudgetPreset::Full => Table3Budget::full(),
     };

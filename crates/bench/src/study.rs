@@ -27,14 +27,32 @@ pub enum BudgetPreset {
 }
 
 impl BudgetPreset {
-    /// Parse from the `PE_BUDGET` environment variable (`quick`/`full`),
-    /// defaulting to the given preset.
-    #[must_use]
-    pub fn from_env(default: BudgetPreset) -> Self {
-        match std::env::var("PE_BUDGET").ok().as_deref() {
-            Some("quick") => BudgetPreset::Quick,
-            Some("full") => BudgetPreset::Full,
-            _ => default,
+    /// The preset named by the `PE_BUDGET` environment variable, or
+    /// `default` when it is unset.
+    ///
+    /// # Errors
+    ///
+    /// Any value but `quick` or `full` (see [`parse`](Self::parse)).
+    pub fn from_env(default: BudgetPreset) -> Result<Self, String> {
+        match std::env::var_os("PE_BUDGET") {
+            None => Ok(default),
+            Some(value) => Self::parse(&value.to_string_lossy()),
+        }
+    }
+
+    /// Parse a preset name.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the accepted values, for anything but `quick`
+    /// or `full`.
+    pub fn parse(value: &str) -> Result<Self, String> {
+        match value {
+            "quick" => Ok(BudgetPreset::Quick),
+            "full" => Ok(BudgetPreset::Full),
+            other => Err(format!(
+                "PE_BUDGET={other:?} is not a budget preset; accepted values: quick, full"
+            )),
         }
     }
 }
@@ -372,6 +390,16 @@ mod tests {
         let f = study_config(BudgetPreset::Full, 0);
         assert!(q.ga.nsga.generations < f.ga.nsga.generations);
         assert!(q.sgd_epochs_scale < f.sgd_epochs_scale);
+    }
+
+    #[test]
+    fn budget_names_parse_and_unknown_ones_are_errors() {
+        assert_eq!(BudgetPreset::parse("quick"), Ok(BudgetPreset::Quick));
+        assert_eq!(BudgetPreset::parse("full"), Ok(BudgetPreset::Full));
+        for bad in ["Quick", "fast", ""] {
+            let err = BudgetPreset::parse(bad).unwrap_err();
+            assert!(err.contains("quick, full"), "{err}");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use pe_mlp::{AxMlp, FixedMlp, QuantMatrix};
+use pe_mlp::{AxMlp, AxWeight, Edit, FixedMlp, IncrementalScorer, QuantMatrix};
 
 use crate::genome::GenomeSpec;
 
@@ -158,57 +158,77 @@ fn for_each_mask_gene(spec: &GenomeSpec, mut visit: impl FnMut(usize)) {
 /// couple of sweeps the doped seed is genuinely "nearly
 /// non-approximate" even on the multi-class datasets, and the NSGA-II
 /// run then explores the accuracy/area trade-off around it.
+///
+/// Every candidate changes one gene, so it is re-scored incrementally
+/// ([`IncrementalScorer`]) and compared as an integer hit count — the
+/// same accept/reject decisions as a full per-row accuracy per
+/// candidate, since the row count is fixed.
+///
+/// **Revert quirk.** A weight's candidates (shift − 1, shift + 1, sign
+/// flip) are all built from its value before the sweep, and a rejected
+/// candidate restores *that* value — even when an earlier candidate of
+/// the same sweep was accepted. The accepted score stays the bar to
+/// beat, so the network can fall back to the pre-sweep weight while
+/// later candidates must still beat the score of the one it dropped.
+/// Bias steps restore the value before each step and do not drift. The
+/// published artifacts depend on this order; the tests pin it.
 #[must_use]
 pub fn refine_doped(
-    mlp: &pe_mlp::AxMlp,
+    mlp: &AxMlp,
     rows: &QuantMatrix,
     labels: &[usize],
     max_shift: u8,
     bias_bits: u32,
     passes: usize,
-) -> pe_mlp::AxMlp {
-    let mut best = mlp.clone();
+) -> AxMlp {
     if rows.is_empty() {
-        return best;
+        return mlp.clone();
     }
     let bias_lo = -(1i64 << (bias_bits - 1)) as i32;
     let bias_hi = ((1i64 << (bias_bits - 1)) - 1) as i32;
-    let mut best_acc = best.accuracy(rows, labels);
+    let mut scorer = IncrementalScorer::new(mlp.clone(), rows, labels);
+    let mut best_hits = scorer.hits();
 
     for _ in 0..passes {
-        let improved_before = best_acc;
-        let layer_count = best.layers.len();
-        for li in 0..layer_count {
-            for ni in 0..best.layers[li].neurons.len() {
-                for wi in 0..best.layers[li].neurons[ni].weights.len() {
-                    let current = best.layers[li].neurons[ni].weights[wi];
+        let improved_before = best_hits;
+        for layer in 0..mlp.layers.len() {
+            for neuron in 0..mlp.layers[layer].neurons.len() {
+                for input in 0..mlp.layers[layer].neurons[neuron].weights.len() {
+                    let current = scorer.mlp().layers[layer].neurons[neuron].weights[input];
                     if current.mask == 0 {
                         continue;
                     }
                     let mut candidates = Vec::with_capacity(3);
                     if current.shift > 0 {
-                        candidates.push(pe_mlp::AxWeight {
+                        candidates.push(AxWeight {
                             shift: current.shift - 1,
                             ..current
                         });
                     }
                     if current.shift < max_shift {
-                        candidates.push(pe_mlp::AxWeight {
+                        candidates.push(AxWeight {
                             shift: current.shift + 1,
                             ..current
                         });
                     }
-                    candidates.push(pe_mlp::AxWeight {
+                    candidates.push(AxWeight {
                         negative: !current.negative,
                         ..current
                     });
-                    for cand in candidates {
-                        best.layers[li].neurons[ni].weights[wi] = cand;
-                        let acc = best.accuracy(rows, labels);
-                        if acc > best_acc {
-                            best_acc = acc;
+                    let edit = |weight| Edit::Weight {
+                        layer,
+                        neuron,
+                        input,
+                        weight,
+                    };
+                    for weight in candidates {
+                        let hits = scorer.score(edit(weight));
+                        if hits > best_hits {
+                            best_hits = hits;
+                            scorer.apply(edit(weight));
                         } else {
-                            best.layers[li].neurons[ni].weights[wi] = current;
+                            // The revert quirk: back to the pre-sweep weight.
+                            scorer.apply(edit(current));
                         }
                     }
                 }
@@ -216,28 +236,31 @@ pub fn refine_doped(
                 let mut step = 1i32 << (bias_bits.min(12) - 2);
                 while step >= 1 {
                     for delta in [step, -step] {
-                        let current = best.layers[li].neurons[ni].bias;
-                        let cand = current.saturating_add(delta).clamp(bias_lo, bias_hi);
-                        if cand == current {
+                        let current = scorer.mlp().layers[layer].neurons[neuron].bias;
+                        let bias = current.saturating_add(delta).clamp(bias_lo, bias_hi);
+                        if bias == current {
                             continue;
                         }
-                        best.layers[li].neurons[ni].bias = cand;
-                        let acc = best.accuracy(rows, labels);
-                        if acc > best_acc {
-                            best_acc = acc;
-                        } else {
-                            best.layers[li].neurons[ni].bias = current;
+                        let edit = Edit::Bias {
+                            layer,
+                            neuron,
+                            bias,
+                        };
+                        let hits = scorer.score(edit);
+                        if hits > best_hits {
+                            best_hits = hits;
+                            scorer.apply(edit);
                         }
                     }
                     step /= 2;
                 }
             }
         }
-        if best_acc <= improved_before {
+        if best_hits <= improved_before {
             break;
         }
     }
-    best
+    scorer.into_mlp()
 }
 
 /// Clear a handful of random mask bits in place (~2% of mask genes get
@@ -308,6 +331,46 @@ mod tests {
             8,
             12,
         )
+    }
+
+    #[test]
+    fn rejected_candidate_restores_the_pre_sweep_weight() {
+        // Class 0 scores 4x (weight shift 2), class 1 a constant 10, so
+        // the start predicts class 0 for x >= 3. The labels say x >= 5:
+        // exactly what shift 1 (2x) predicts. The sweep accepts shift 1
+        // at 100% accuracy, rejects shift 3 and the sign flip — and each
+        // rejection restores the pre-sweep shift 2. Nothing can beat
+        // 100% afterwards, so the start network comes back unchanged.
+        let weight = |shift, mask| pe_mlp::AxWeight {
+            mask,
+            shift,
+            negative: false,
+        };
+        let start = AxMlp {
+            layers: vec![pe_mlp::AxLayer {
+                input_bits: 4,
+                neurons: vec![
+                    pe_mlp::AxNeuron {
+                        weights: vec![weight(2, 0b1111)],
+                        bias: 0,
+                    },
+                    pe_mlp::AxNeuron {
+                        weights: vec![weight(0, 0)],
+                        bias: 10,
+                    },
+                ],
+                qrelu: None,
+            }],
+        };
+        let rows = QuantMatrix::from_rows(&(0..16u8).map(|x| [x]).collect::<Vec<_>>());
+        let labels: Vec<usize> = (0..16).map(|x| usize::from(x < 5)).collect();
+        let mut accepted = start.clone();
+        accepted.layers[0].neurons[0].weights[0].shift = 1;
+        assert_eq!(accepted.accuracy(&rows, &labels), 1.0);
+        assert!(start.accuracy(&rows, &labels) < 1.0);
+
+        let refined = refine_doped(&start, &rows, &labels, 6, 12, 3);
+        assert_eq!(refined, start);
     }
 
     #[test]

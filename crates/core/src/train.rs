@@ -329,7 +329,7 @@ impl HwAwareTrainer {
 
         // Memetic polish of the accuracy end: coordinate-descent sweeps
         // (the same local search used on the doped seeds) applied to the
-        // three most accurate front members. This substitutes for the
+        // five most accurate front members. This substitutes for the
         // paper's ~26M-evaluation budget near convergence; the hardware
         // Pareto filter below discards any polished design whose area
         // regressed.
@@ -341,6 +341,21 @@ impl HwAwareTrainer {
         });
         let refine_n = train.len().min(2500);
         let polish_rows = train.features.head(refine_n);
+        let mut polish_view = AxTrainProblem::new(
+            spec.clone(),
+            polish_rows.clone(),
+            train.labels[..refine_n].to_vec(),
+            baseline_train_accuracy,
+            self.config.max_accuracy_loss,
+        )
+        .with_objective(self.config.objective)
+        .with_scenario(cost.scenario().clone());
+        if let Some(variation) = &self.variation {
+            // Same statistic, same master seed: the polish view scores
+            // candidates the way the GA did (the keyed sampler makes the
+            // draws row-subset independent).
+            polish_view = polish_view.with_variation(variation, self.config.nsga.seed);
+        }
         for &idx in by_acc.iter().take(5) {
             let polished = crate::init::refine_doped(
                 &estimated_front[idx].mlp,
@@ -351,22 +366,7 @@ impl HwAwareTrainer {
                 3,
             );
             if polished != estimated_front[idx].mlp {
-                let mut problem_view = AxTrainProblem::new(
-                    spec.clone(),
-                    polish_rows.clone(),
-                    train.labels[..refine_n].to_vec(),
-                    baseline_train_accuracy,
-                    self.config.max_accuracy_loss,
-                )
-                .with_objective(self.config.objective)
-                .with_scenario(cost.scenario().clone());
-                if let Some(variation) = &self.variation {
-                    // Same statistic, same master seed: the polish view
-                    // scores candidates the way the GA did (the keyed
-                    // sampler makes the draws row-subset independent).
-                    problem_view = problem_view.with_variation(variation, self.config.nsga.seed);
-                }
-                let (train_acc, area) = problem_view.score(&polished);
+                let (train_acc, area) = polish_view.score(&polished);
                 let test_accuracy = polished.accuracy(&test.features, &test.labels);
                 estimated_front.push(DesignCandidate {
                     train_accuracy: train_acc,

@@ -42,6 +42,22 @@ impl AxWeight {
             }
         }
     }
+
+    /// This weight's summand of Eq. (4) for activation `x`:
+    /// `s · ((m ⊙ x) ≪ k)` (0 when fully masked).
+    #[inline]
+    #[must_use]
+    pub fn term(self, x: u8) -> i64 {
+        if self.mask == 0 {
+            return 0;
+        }
+        let v = i64::from(u16::from(x) & self.mask) << self.shift;
+        if self.negative {
+            -v
+        } else {
+            v
+        }
+    }
 }
 
 /// One approximate neuron: weights plus an integer bias.
@@ -68,15 +84,7 @@ impl AxNeuron {
         assert_eq!(x.len(), self.weights.len(), "input width mismatch");
         let mut acc = i64::from(self.bias);
         for (w, &xi) in self.weights.iter().zip(x) {
-            if w.mask == 0 {
-                continue;
-            }
-            let v = i64::from(u16::from(xi) & w.mask) << w.shift;
-            if w.negative {
-                acc -= v;
-            } else {
-                acc += v;
-            }
+            acc += w.term(xi);
         }
         acc
     }
@@ -462,8 +470,7 @@ pub fn fold_constants(mlp: &AxMlp) -> AxMlp {
                 let mut folded: i64 = i64::from(neuron.bias);
                 for (w, cv) in neuron.weights.iter_mut().zip(&const_vals) {
                     if let Some(v) = cv {
-                        let term = i64::from(u16::from(*v) & w.mask) << w.shift;
-                        folded += if w.negative { -term } else { term };
+                        folded += w.term(*v);
                         *w = AxWeight {
                             mask: 0,
                             shift: 0,

@@ -15,7 +15,8 @@
 //! descriptions; [`metrics`] provides accuracy/confusion helpers;
 //! [`columnar`] holds the structure-of-arrays inference engine —
 //! [`QuantMatrix`] flat datasets, per-weight LUT kernels and
-//! column-major batch prediction, bit-exact with the per-row path.
+//! column-major batch prediction, bit-exact with the per-row path;
+//! [`incremental`] re-scores single-gene edits for local search.
 //!
 //! # Example: train, quantize, approximate
 //!
@@ -44,6 +45,7 @@ pub mod bitslice;
 pub mod columnar;
 pub mod dense;
 pub mod hardware;
+pub mod incremental;
 pub mod metrics;
 pub mod quant;
 pub mod simd;
@@ -54,6 +56,7 @@ pub use axmlp::{fold_constants, AxLayer, AxMlp, AxNeuron, AxWeight, InferenceScr
 pub use columnar::{ColumnMatrix, ColumnarScratch, KernelKind, KernelScratch, QuantMatrix};
 pub use dense::{argmax, DenseMlp};
 pub use hardware::{ax_to_hardware, fixed_to_hardware};
+pub use incremental::{Edit, IncrementalScorer};
 pub use quant::{FixedLayer, FixedMlp, QReluCfg, QReluKernel, QuantConfig};
 pub use topology::Topology;
 pub use train::{train_best_of, train_best_of_observed, SgdTrainer, TrainConfig, TrainReport};
