@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 use pe_datasets::Dataset;
 use pe_hw::{Elaborator, TechLibrary};
 use pe_mlp::{ax_to_hardware, DenseMlp, SgdTrainer, Topology, TrainConfig};
-use pe_nsga::{Nsga2, NsgaConfig};
+use pe_nsga::{IslandConfig, IslandModel, NsgaConfig, Resume};
 use printed_axc::{
     doped_seeds, select_within_loss, AreaObjective, AxTrainConfig, AxTrainProblem, FloatTrained,
     HwAwareTrainer, NsgaEngine, RunControl, SearchEngine, Study, StudyConfig,
@@ -114,13 +114,19 @@ pub fn doping(dataset: Dataset, population: usize, generations: usize, seed: u64
     );
     let floor = problem.accuracy_floor();
 
+    let model = IslandModel::new(IslandConfig::single(cfg.nsga.clone()));
     let run = |seeds: Vec<Vec<u32>>| {
-        let mut first_feasible = None;
-        let result = Nsga2::new(cfg.nsga.clone()).run_seeded(&problem, seeds, |s| {
-            if first_feasible.is_none() && 1.0 - s.best_objectives[0] + 1e-12 >= floor {
-                first_feasible = Some(s.generation);
-            }
-        });
+        let (result, history) = model.run(
+            std::slice::from_ref(&problem),
+            seeds,
+            Resume::default(),
+            1,
+            &(),
+        );
+        let first_feasible = history
+            .iter()
+            .find(|s| 1.0 - s.best_objectives[0] + 1e-12 >= floor)
+            .map(|s| s.generation);
         let best = result
             .pareto_front
             .iter()

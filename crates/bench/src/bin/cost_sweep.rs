@@ -15,7 +15,7 @@
 
 use pe_bench::format::write_json;
 use pe_bench::study::run_studies;
-use pe_bench::{sweep, BudgetPreset};
+use pe_bench::{budget_or_exit, sweep, BudgetPreset};
 use pe_store::DesignStore;
 
 fn main() {
@@ -38,10 +38,7 @@ fn main() {
             sweep::sweep_designs(&designs)
         }
         None => {
-            let budget = BudgetPreset::from_env(BudgetPreset::Full).unwrap_or_else(|err| {
-                eprintln!("error: {err}");
-                std::process::exit(2);
-            });
+            let budget = budget_or_exit(BudgetPreset::Full);
             let studies = run_studies(budget, 0);
             sweep::sweep(&studies)
         }

@@ -7,13 +7,10 @@
 
 use pe_bench::format::write_json;
 use pe_bench::study::run_selected;
-use pe_bench::{fig4, BudgetPreset};
+use pe_bench::{budget_or_exit, fig4, BudgetPreset};
 
 fn main() {
-    let budget = BudgetPreset::from_env(BudgetPreset::Full).unwrap_or_else(|err| {
-        eprintln!("error: {err}");
-        std::process::exit(2);
-    });
+    let budget = budget_or_exit(BudgetPreset::Full);
     let selected = run_selected(budget, 0);
     let engines = fig4::paper_engines();
     let tech = pe_hw::TechLibrary::egfet();

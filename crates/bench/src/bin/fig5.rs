@@ -5,13 +5,10 @@
 
 use pe_bench::format::write_json;
 use pe_bench::study::run_studies;
-use pe_bench::{fig5, BudgetPreset};
+use pe_bench::{budget_or_exit, fig5, BudgetPreset};
 
 fn main() {
-    let budget = BudgetPreset::from_env(BudgetPreset::Full).unwrap_or_else(|err| {
-        eprintln!("error: {err}");
-        std::process::exit(2);
-    });
+    let budget = budget_or_exit(BudgetPreset::Full);
     let studies = run_studies(budget, 0);
     let rows: Vec<_> = studies.iter().map(fig5::row).collect();
     println!("{}", fig5::render(&rows));

@@ -8,13 +8,10 @@
 //! held-out Monte-Carlo evaluation on the test split.
 
 use pe_bench::format::write_json;
-use pe_bench::{robust, BudgetPreset};
+use pe_bench::{budget_or_exit, robust, BudgetPreset};
 
 fn main() {
-    let budget = BudgetPreset::from_env(BudgetPreset::Full).unwrap_or_else(|err| {
-        eprintln!("error: {err}");
-        std::process::exit(2);
-    });
+    let budget = budget_or_exit(BudgetPreset::Full);
     let rows = robust::compare(budget, 0);
     println!("{}", robust::render(&rows));
     println!("{}", robust::summary(&rows));

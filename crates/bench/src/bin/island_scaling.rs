@@ -4,17 +4,14 @@
 //! `PE_BUDGET=quick` for a fast pass). Sweeps island count × evaluator
 //! worker threads on one dataset at a fixed evaluation budget,
 //! recording wall-clock speedup and merged-front size/hypervolume vs
-//! the single-population engine — and asserting the merged front is
+//! the single population — and asserting the merged front is
 //! byte-identical at every worker count before writing the report.
 
 use pe_bench::format::write_json;
-use pe_bench::{island, BudgetPreset};
+use pe_bench::{budget_or_exit, island, BudgetPreset};
 
 fn main() {
-    let budget = BudgetPreset::from_env(BudgetPreset::Full).unwrap_or_else(|err| {
-        eprintln!("error: {err}");
-        std::process::exit(2);
-    });
+    let budget = budget_or_exit(BudgetPreset::Full);
     let report = island::sweep(budget, 0);
     println!("{}", island::render(&report));
     println!("note: {}", report.note);

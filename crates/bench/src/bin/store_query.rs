@@ -8,13 +8,10 @@
 //! of "best design within budget" queries against the populated store.
 
 use pe_bench::format::write_json;
-use pe_bench::{store_query, BudgetPreset};
+use pe_bench::{budget_or_exit, store_query, BudgetPreset};
 
 fn main() {
-    let budget = BudgetPreset::from_env(BudgetPreset::Full).unwrap_or_else(|err| {
-        eprintln!("error: {err}");
-        std::process::exit(2);
-    });
+    let budget = budget_or_exit(BudgetPreset::Full);
     let report = store_query::run(budget, 0);
     println!("{}", store_query::render(&report));
     println!("{}", store_query::summary(&report));

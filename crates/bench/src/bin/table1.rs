@@ -7,13 +7,10 @@
 
 use pe_bench::format::write_json;
 use pe_bench::study::run_studies;
-use pe_bench::{table1, BudgetPreset};
+use pe_bench::{budget_or_exit, table1, BudgetPreset};
 
 fn main() {
-    let budget = BudgetPreset::from_env(BudgetPreset::Full).unwrap_or_else(|err| {
-        eprintln!("error: {err}");
-        std::process::exit(2);
-    });
+    let budget = budget_or_exit(BudgetPreset::Full);
     let studies = run_studies(budget, 0);
     let rows = table1::rows(&studies);
     println!("{}", table1::render(&rows));

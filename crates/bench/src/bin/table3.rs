@@ -5,14 +5,11 @@
 
 use pe_bench::format::write_json;
 use pe_bench::table3::{self, Table3Budget};
-use pe_bench::BudgetPreset;
+use pe_bench::{budget_or_exit, BudgetPreset};
 use pe_datasets::Dataset;
 
 fn main() {
-    let preset = BudgetPreset::from_env(BudgetPreset::Full).unwrap_or_else(|err| {
-        eprintln!("error: {err}");
-        std::process::exit(2);
-    });
+    let preset = budget_or_exit(BudgetPreset::Full);
     let budget = match preset {
         BudgetPreset::Quick => Table3Budget::quick(),
         BudgetPreset::Full => Table3Budget::full(),

@@ -4,8 +4,8 @@
 //! fixed evaluation budget (same population, same generations — the
 //! archipelago splits the population, it never grows it) and records,
 //! per cell, the evolution-loop wall clock, the merged front's size
-//! and 2-objective hypervolume, and the speedup vs the
-//! single-population engine. Every cell's merged front is proven
+//! and 2-objective hypervolume, and the speedup vs the single
+//! population. Every cell's merged front is proven
 //! byte-identical across worker counts before the report is written —
 //! the determinism contract is part of the benchmark, not a caveat.
 
@@ -92,7 +92,7 @@ pub struct IslandScalingReport {
 /// Panics if a study fails (the bench presets are valid and nothing
 /// cancels them) or if any island count's merged front differs across
 /// thread budgets — that would break the determinism contract the
-/// island engine is built on.
+/// GA driver is built on.
 #[must_use]
 pub fn sweep(budget: BudgetPreset, master_seed: u64) -> IslandScalingReport {
     let dataset = Dataset::Pendigits;

@@ -45,4 +45,4 @@ pub mod table1;
 pub mod table2;
 pub mod table3;
 
-pub use study::{run_selected, run_studies, study_config, BudgetPreset};
+pub use study::{budget_or_exit, run_selected, run_studies, study_config, BudgetPreset};

@@ -64,8 +64,13 @@ impl BudgetPreset {
 /// The island-search knobs (`PE_ISLANDS`, `PE_MIGRATE_EVERY`) are
 /// applied on top via [`StudyConfig::with_env_islands`], so every bench
 /// bin honors them uniformly. Unset, the configuration keeps the
-/// single-population engine — and its byte-identical artifacts and
-/// cache keys.
+/// single population — and its byte-identical artifacts and cache
+/// keys.
+///
+/// # Panics
+///
+/// Panics on an unparsable island knob; the bench bins check them
+/// first through [`budget_or_exit`].
 #[must_use]
 pub fn study_config(budget: BudgetPreset, seed: u64) -> StudyConfig {
     let config = match budget {
@@ -103,7 +108,26 @@ pub fn study_config(budget: BudgetPreset, seed: u64) -> StudyConfig {
             ..StudyConfig::default()
         },
     };
-    config.with_env_islands()
+    config
+        .with_env_islands()
+        .unwrap_or_else(|err| panic!("{err}"))
+}
+
+/// The budget preset of a bench binary, with every knob
+/// [`study_config`] reads checked up front: `PE_BUDGET` (see
+/// [`BudgetPreset::from_env`]), `PE_ISLANDS` and `PE_MIGRATE_EVERY`. A
+/// bad value prints the error and exits with status 2.
+#[must_use]
+pub fn budget_or_exit(default: BudgetPreset) -> BudgetPreset {
+    let checked = BudgetPreset::from_env(default).and_then(|budget| {
+        printed_axc::islands_from_env()?;
+        printed_axc::migrate_every_from_env()?;
+        Ok(budget)
+    });
+    checked.unwrap_or_else(|err| {
+        eprintln!("error: {err}");
+        std::process::exit(2)
+    })
 }
 
 /// Accumulates the per-generation

@@ -1,32 +1,36 @@
 //! Crash-safe search checkpointing for the pipeline's search stage.
 //!
-//! A GA search is by far the longest stage of a study, and until this
-//! module existed a kill (OOM, SIGKILL, power loss) threw the whole
-//! stage away. The pieces here wire `pe_nsga`'s generation-level
-//! [`SearchCheckpoint`] protocol into the staged pipeline:
+//! A GA search is by far the longest stage of a study, and a kill (OOM,
+//! SIGKILL, power loss) would otherwise throw the whole stage away. The
+//! pieces here wire `pe_nsga`'s generation-level [`SearchCheckpoint`]s
+//! into the staged pipeline:
 //!
 //! * [`CheckpointSpec`] names *where* a search persists its checkpoint
-//!   and *how often* (every `every` completed generations, plus a final
-//!   flush on completion or cancellation).
-//! * `FileSink` (crate-internal) is the [`CheckpointSink`] that writes
-//!   each snapshot through
+//!   and *how often* (every `every` completed generations, plus a
+//!   flush at the end of every island leg and on cancellation).
+//! * `island_paths` (crate-internal) is the file layout: one island
+//!   saves to the spec's path itself; an archipelago's island `i`
+//!   saves to `island_path(spec, i)` and its barriers write the
+//!   post-migration [`IslandCheckpoint`] to the spec's path.
+//! * `write` (crate-internal) persists one snapshot through
 //!   [`pe_store::atomic_write`] — a torn checkpoint write can never
-//!   destroy the previous good checkpoint — and reports a
-//!   [`ProgressEvent::Checkpoint`] per flush.
+//!   destroy the previous good checkpoint.
 //! * `load` (crate-internal) reads a checkpoint back, validating it
 //!   against the run's configuration and genome bounds; anything stale,
-//!   torn or foreign loads as `None` and the search starts fresh.
+//!   torn or foreign loads as `None` (with a warning) and the search
+//!   starts fresh.
 //!
 //! The cadence is pure durability policy: it is **not** part of any
 //! stage-cache key, and a resumed run reproduces the uninterrupted
 //! run's artifacts byte for byte (the RNG stream, population
 //! annotations and evaluation counters are all part of the snapshot).
+//!
+//! [`IslandCheckpoint`]: pe_nsga::IslandCheckpoint
 
 use std::path::{Path, PathBuf};
 
-use pe_nsga::{CheckpointSink, IslandCheckpoint, IslandConfig, NsgaConfig, SearchCheckpoint};
-
-use crate::progress::{ProgressEvent, RunControl};
+use pe_nsga::SearchCheckpoint;
+use serde::{Deserialize, Serialize};
 
 /// Default checkpoint cadence in completed generations (the
 /// `PE_CHECKPOINT_EVERY` fallback).
@@ -55,10 +59,9 @@ pub struct CheckpointSpec {
     /// Checkpoint file (written atomically, deleted once the stage's
     /// artifact is safely cached).
     pub path: PathBuf,
-    /// Flush cadence in completed generations (`0` disables periodic
-    /// flushes; completion/cancellation still flushes nothing because
-    /// the whole plan is skipped — use [`checkpoint_every`] defaults
-    /// instead of `0` unless checkpointing is meant to be off).
+    /// Flush cadence in completed generations. `0` turns checkpointing
+    /// off entirely (see [`is_active`](Self::is_active)): no flushes
+    /// and no resume.
     pub every: usize,
 }
 
@@ -79,145 +82,94 @@ impl CheckpointSpec {
     }
 }
 
-/// Load and validate the checkpoint at `spec.path`.
+/// The per-island checkpoint files of a search over `islands` islands
+/// under the spec path `path`: the spec path itself for one island;
+/// for an archipelago `foo.ckpt.json` owns `foo.ckpt.island0.json`,
+/// `foo.ckpt.island1.json`, … (same stage key, so sibling studies can
+/// never collide) and keeps the barrier snapshot itself.
+#[must_use]
+pub(crate) fn island_paths(path: &Path, islands: usize) -> Vec<PathBuf> {
+    if islands == 1 {
+        return vec![path.to_path_buf()];
+    }
+    (0..islands)
+        .map(|island| path.with_extension(format!("island{island}.json")))
+        .collect()
+}
+
+/// Load and validate the `what` checkpoint (`"search"`, `"island"`) at
+/// `path`.
 ///
 /// Returns `None` — and the caller starts a fresh search — when the
 /// file is missing, unparsable (torn writes cannot happen thanks to
 /// [`pe_store::atomic_write`], but hand-edited or foreign files can),
-/// or fails [`SearchCheckpoint::validate`] against this run's
-/// configuration and bounds. An invalid-but-present file is reported
-/// to stderr so silently ignored checkpoints are diagnosable.
+/// or fails `validate` against this run's configuration and bounds. An
+/// invalid-but-present file is reported to stderr so silently ignored
+/// checkpoints are diagnosable.
 #[must_use]
-pub(crate) fn load(
-    spec: &CheckpointSpec,
-    config: &NsgaConfig,
+pub(crate) fn load<T: Deserialize>(
+    path: &Path,
+    what: &str,
+    validate: impl FnOnce(&T) -> Result<(), String>,
+) -> Option<T> {
+    let text = std::fs::read_to_string(path).ok()?;
+    let Ok(checkpoint) = serde_json::from_str::<T>(&text) else {
+        eprintln!(
+            "warning: ignoring unreadable {what} checkpoint {}",
+            path.display()
+        );
+        return None;
+    };
+    match validate(&checkpoint) {
+        Ok(()) => Some(checkpoint),
+        Err(reason) => {
+            eprintln!(
+                "warning: ignoring stale {what} checkpoint {}: {reason}",
+                path.display()
+            );
+            None
+        }
+    }
+}
+
+/// Persist one snapshot at `path` through [`pe_store::atomic_write`].
+/// Failures are stderr warnings — a full disk degrades durability, it
+/// does not kill the search. Returns whether the snapshot is on disk.
+pub(crate) fn write(path: &Path, checkpoint: &impl Serialize) -> bool {
+    let json = match serde_json::to_string(checkpoint) {
+        Ok(json) => json,
+        Err(e) => {
+            eprintln!("warning: cannot serialize checkpoint: {e}");
+            return false;
+        }
+    };
+    match pe_store::atomic_write(path, json.as_bytes()) {
+        Ok(()) => true,
+        Err(e) => {
+            eprintln!("warning: cannot write checkpoint {}: {e}", path.display());
+            false
+        }
+    }
+}
+
+/// Load and validate the single-population checkpoint at `path`
+/// against `config` and `bounds` (see [`load`]).
+#[must_use]
+pub(crate) fn load_search(
+    path: &Path,
+    config: &pe_nsga::NsgaConfig,
     bounds: &[u32],
 ) -> Option<SearchCheckpoint> {
-    let text = std::fs::read_to_string(&spec.path).ok()?;
-    let Ok(checkpoint) = serde_json::from_str::<SearchCheckpoint>(&text) else {
-        eprintln!(
-            "warning: ignoring unreadable search checkpoint {}",
-            spec.path.display()
-        );
-        return None;
-    };
-    match checkpoint.validate(config, bounds) {
-        Ok(()) => Some(checkpoint),
-        Err(reason) => {
-            eprintln!(
-                "warning: ignoring stale search checkpoint {}: {reason}",
-                spec.path.display()
-            );
-            None
-        }
-    }
-}
-
-/// The on-disk path of island `island`'s mid-epoch checkpoint, derived
-/// from the epoch file's path: `foo.ckpt.json` owns
-/// `foo.ckpt.island0.json`, `foo.ckpt.island1.json`, … — same stage
-/// key, so sibling studies can never collide.
-#[must_use]
-pub(crate) fn island_path(epoch: &Path, island: usize) -> PathBuf {
-    epoch.with_extension(format!("island{island}.json"))
-}
-
-/// Load and validate the island-model epoch checkpoint at `spec.path`.
-/// Same contract as [`load`]: missing, unparsable or invalid files load
-/// as `None` (with a stderr warning when a file was present), and the
-/// run starts fresh.
-#[must_use]
-pub(crate) fn load_island(
-    spec: &CheckpointSpec,
-    config: &IslandConfig,
-    bounds: &[u32],
-) -> Option<IslandCheckpoint> {
-    let text = std::fs::read_to_string(&spec.path).ok()?;
-    let Ok(checkpoint) = serde_json::from_str::<IslandCheckpoint>(&text) else {
-        eprintln!(
-            "warning: ignoring unreadable island checkpoint {}",
-            spec.path.display()
-        );
-        return None;
-    };
-    match checkpoint.validate(config, bounds) {
-        Ok(()) => Some(checkpoint),
-        Err(reason) => {
-            eprintln!(
-                "warning: ignoring stale island checkpoint {}: {reason}",
-                spec.path.display()
-            );
-            None
-        }
-    }
-}
-
-/// Persist one island-model epoch snapshot at `path` through
-/// [`pe_store::atomic_write`], reporting a
-/// [`ProgressEvent::Checkpoint`] (the barrier generation plus the
-/// summed evaluation counter) on success. Like `FileSink`, write
-/// failures are stderr warnings — durability degrades, the search
-/// survives.
-pub(crate) fn save_island(path: &Path, ctl: &RunControl<'_>, checkpoint: &IslandCheckpoint) {
-    match serde_json::to_string(checkpoint) {
-        Ok(json) => {
-            if let Err(e) = pe_store::atomic_write(path, json.as_bytes()) {
-                eprintln!(
-                    "warning: cannot write island checkpoint {}: {e}",
-                    path.display()
-                );
-                return;
-            }
-            ctl.emit(&ProgressEvent::Checkpoint {
-                generation: checkpoint.generation,
-                evaluations: checkpoint.islands.iter().map(|s| s.evaluations).sum(),
-            });
-        }
-        Err(e) => eprintln!("warning: cannot serialize island checkpoint: {e}"),
-    }
-}
-
-/// The pipeline's [`CheckpointSink`]: snapshots go to disk through
-/// [`pe_store::atomic_write`] and each flush is reported as a
-/// [`ProgressEvent::Checkpoint`]. Write failures are warnings — a full
-/// disk degrades durability, it does not kill the search.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FileSink<'a> {
-    path: &'a std::path::Path,
-    ctl: &'a RunControl<'a>,
-}
-
-impl<'a> FileSink<'a> {
-    pub(crate) fn new(path: &'a std::path::Path, ctl: &'a RunControl<'a>) -> Self {
-        Self { path, ctl }
-    }
-}
-
-impl CheckpointSink for FileSink<'_> {
-    fn save(&self, checkpoint: &SearchCheckpoint) {
-        match serde_json::to_string(checkpoint) {
-            Ok(json) => {
-                if let Err(e) = pe_store::atomic_write(self.path, json.as_bytes()) {
-                    eprintln!(
-                        "warning: cannot write checkpoint {}: {e}",
-                        self.path.display()
-                    );
-                    return;
-                }
-                self.ctl.emit(&ProgressEvent::Checkpoint {
-                    generation: checkpoint.generation,
-                    evaluations: checkpoint.evaluations,
-                });
-            }
-            Err(e) => eprintln!("warning: cannot serialize checkpoint: {e}"),
-        }
-    }
+    load(path, "search", |cp: &SearchCheckpoint| {
+        cp.validate(config, bounds)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pe_nsga::{CheckpointPlan, IntProblem, Nsga2};
+    use crate::progress::{ProgressEvent, RunControl};
+    use pe_nsga::{IntProblem, IslandConfig, IslandModel, NsgaConfig, NsgaResult};
 
     fn scratch(tag: &str) -> PathBuf {
         use std::sync::atomic::{AtomicUsize, Ordering};
@@ -249,6 +201,12 @@ mod tests {
         }
     }
 
+    /// One population of `config` through the pipeline's GA driver.
+    fn run(config: &NsgaConfig, spec: Option<&CheckpointSpec>, ctl: &RunControl<'_>) -> NsgaResult {
+        let model = IslandModel::new(IslandConfig::single(config.clone()));
+        crate::eval::run_ga(&model, &Sphere, Vec::new(), 1, ctl, &|| None, spec).0
+    }
+
     #[test]
     fn file_sink_round_trips_through_load() {
         let path = scratch("roundtrip");
@@ -256,40 +214,26 @@ mod tests {
             path: path.clone(),
             every: 2,
         };
-        let ctl = RunControl::NONE;
-        let sink = FileSink::new(&spec.path, &ctl);
-        let nsga = Nsga2::new(config());
-        let plan = CheckpointPlan {
-            every: spec.every,
-            sink: &sink,
-        };
-        let uninterrupted = nsga.run_checkpointed(&Sphere, Vec::new(), None, None, |_| true);
-        let _ = nsga.run_checkpointed(&Sphere, Vec::new(), None, Some(plan), |_| true);
+        let uninterrupted = run(&config(), None, &RunControl::NONE);
+        let _ = run(&config(), Some(&spec), &RunControl::NONE);
 
-        let loaded = load(&spec, &config(), Sphere.bounds()).expect("checkpoint loads");
+        let loaded = load_search(&path, &config(), Sphere.bounds()).expect("checkpoint loads");
         assert_eq!(loaded.generation, 6);
         // Resuming from the final flush reproduces the full run.
-        let resumed = nsga.run_checkpointed(&Sphere, Vec::new(), Some(loaded), None, |_| true);
-        assert_eq!(resumed.pareto_front, uninterrupted.pareto_front);
-        assert_eq!(resumed.evaluations, uninterrupted.evaluations);
+        let resumed = run(&config(), Some(&spec), &RunControl::NONE);
+        assert_eq!(resumed, uninterrupted);
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn load_rejects_missing_torn_and_foreign_checkpoints() {
-        let missing = CheckpointSpec {
-            path: scratch("missing"),
-            every: 2,
-        };
-        assert!(load(&missing, &config(), Sphere.bounds()).is_none());
+        let missing = scratch("missing");
+        assert!(load_search(&missing, &config(), Sphere.bounds()).is_none());
 
-        let torn = CheckpointSpec {
-            path: scratch("torn"),
-            every: 2,
-        };
-        std::fs::write(&torn.path, "{\"generation\": 3, \"trunc").expect("write");
-        assert!(load(&torn, &config(), Sphere.bounds()).is_none());
-        let _ = std::fs::remove_file(&torn.path);
+        let torn = scratch("torn");
+        std::fs::write(&torn, "{\"generation\": 3, \"trunc").expect("write");
+        assert!(load_search(&torn, &config(), Sphere.bounds()).is_none());
+        let _ = std::fs::remove_file(&torn);
 
         // A valid checkpoint from a *different* configuration must not
         // resume this one.
@@ -298,25 +242,13 @@ mod tests {
             path: path.clone(),
             every: 1,
         };
-        let ctl = RunControl::NONE;
-        let sink = FileSink::new(&spec.path, &ctl);
-        let nsga = Nsga2::new(config());
-        let _ = nsga.run_checkpointed(
-            &Sphere,
-            Vec::new(),
-            None,
-            Some(CheckpointPlan {
-                every: 1,
-                sink: &sink,
-            }),
-            |_| true,
-        );
+        let _ = run(&config(), Some(&spec), &RunControl::NONE);
         let other = NsgaConfig {
             seed: 999,
             ..config()
         };
-        assert!(load(&spec, &other, Sphere.bounds()).is_none());
-        assert!(load(&spec, &config(), Sphere.bounds()).is_some());
+        assert!(load_search(&path, &other, Sphere.bounds()).is_none());
+        assert!(load_search(&path, &config(), Sphere.bounds()).is_some());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -337,18 +269,11 @@ mod tests {
         let events: Mutex<Vec<ProgressEvent>> = Mutex::new(Vec::new());
         let observer = |e: &ProgressEvent| events.lock().expect("unpoisoned").push(e.clone());
         let ctl = RunControl::new(Some(&observer), None);
-        let sink = FileSink::new(&path, &ctl);
-        let nsga = Nsga2::new(config());
-        let _ = nsga.run_checkpointed(
-            &Sphere,
-            Vec::new(),
-            None,
-            Some(CheckpointPlan {
-                every: 3,
-                sink: &sink,
-            }),
-            |_| true,
-        );
+        let spec = CheckpointSpec {
+            path: path.clone(),
+            every: 3,
+        };
+        let _ = run(&config(), Some(&spec), &ctl);
         let generations: Vec<usize> = events
             .lock()
             .expect("unpoisoned")

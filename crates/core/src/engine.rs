@@ -13,7 +13,7 @@ use std::time::Instant;
 use pe_datasets::{Dataset, QuantizedData, TabularData};
 use pe_hw::{CostModel, CostScenario, Elaborator, TechLibrary};
 use pe_mlp::{fixed_to_hardware, DenseMlp, FixedMlp};
-use pe_nsga::{Nsga2, NsgaConfig};
+use pe_nsga::{IslandConfig, IslandModel, NsgaConfig};
 
 use crate::config::AxTrainConfig;
 use crate::error::FlowError;
@@ -181,28 +181,84 @@ pub fn fingerprint_json<T: serde::Serialize>(value: &T) -> u64 {
 }
 
 /// The paper's engine: hardware-approximation-aware NSGA-II training
-/// ([`HwAwareTrainer`]) over the `(m, s, k, b)` chromosome.
-#[derive(Debug, Clone, Default)]
+/// ([`HwAwareTrainer`]) over the `(m, s, k, b)` chromosome — one
+/// population, or an island archipelago with the same evaluation
+/// budget and byte-identical results at any worker count (see
+/// [`pe_nsga::IslandModel`]). The pipeline builds an archipelago
+/// whenever [`Study::islands`](crate::Study::islands) (or `PE_ISLANDS`
+/// via [`StudyConfig`](crate::flow::StudyConfig)) asks for ≥ 2
+/// islands; the engine's name and fingerprint then change, re-keying
+/// the `Searched`/`Selected` stage caches, while 0 or 1 island keeps
+/// the single-population name and keys.
+#[derive(Debug, Clone)]
 pub struct NsgaEngine {
-    /// GA training configuration.
+    /// GA training configuration (the total budget).
     pub config: AxTrainConfig,
+    /// Number of islands (`0` or `1`: one population).
+    pub islands: usize,
+    /// Migration cadence in completed generations (archipelagos only).
+    pub migration_every: usize,
+    /// Elites each island emits per migration epoch (archipelagos
+    /// only).
+    pub migrants: usize,
 }
 
 impl NsgaEngine {
-    /// Engine with the given configuration.
+    /// Single-population engine with the given configuration.
     #[must_use]
     pub fn new(config: AxTrainConfig) -> Self {
-        Self { config }
+        Self {
+            config,
+            islands: 1,
+            migration_every: pe_nsga::DEFAULT_MIGRATION_EVERY,
+            migrants: pe_nsga::DEFAULT_MIGRANTS,
+        }
+    }
+
+    /// The same engine over an archipelago of `islands` islands
+    /// exchanging `migrants` elites every `migration_every`
+    /// generations.
+    #[must_use]
+    pub fn with_islands(self, islands: usize, migration_every: usize, migrants: usize) -> Self {
+        Self {
+            islands,
+            migration_every,
+            migrants,
+            ..self
+        }
+    }
+
+    fn is_archipelago(&self) -> bool {
+        self.islands >= 2
+    }
+}
+
+impl Default for NsgaEngine {
+    fn default() -> Self {
+        Self::new(AxTrainConfig::default())
     }
 }
 
 impl SearchEngine for NsgaEngine {
     fn name(&self) -> &'static str {
-        "nsga2-axc"
+        if self.is_archipelago() {
+            "nsga2-axc-islands"
+        } else {
+            "nsga2-axc"
+        }
     }
 
     fn cache_fingerprint(&self) -> u64 {
-        fingerprint_json(&self.config)
+        if self.is_archipelago() {
+            fingerprint_json(&(
+                &self.config,
+                self.islands,
+                self.migration_every,
+                self.migrants,
+            ))
+        } else {
+            fingerprint_json(&self.config)
+        }
     }
 
     fn search(
@@ -215,93 +271,7 @@ impl SearchEngine for NsgaEngine {
             .with_variation(ctx.variation.copied())
             .with_store(ctx.store.cloned())
             .with_checkpoint(ctx.checkpoint.cloned())
-            .train_controlled(
-                ctx.baseline,
-                ctx.baseline_train_accuracy,
-                ctx.train,
-                ctx.test,
-                ctx.cost,
-                ctx.name,
-                ctl,
-            )
-    }
-}
-
-/// The island-model variant of [`NsgaEngine`]: the same
-/// hardware-aware training flow with the GA loop replaced by an
-/// N-island archipelago (see [`pe_nsga::IslandModel`] and
-/// `crate::eval::run_ga_islands`'s two-level thread split). Same
-/// evaluation budget, byte-identical results at any worker count;
-/// selected by the pipeline whenever
-/// [`Study::islands`](crate::Study::islands) (or `PE_ISLANDS` via
-/// [`StudyConfig`](crate::flow::StudyConfig)) asks for ≥ 2 islands.
-#[derive(Debug, Clone)]
-pub struct IslandEngine {
-    /// GA training configuration (the total budget).
-    pub config: AxTrainConfig,
-    /// Number of islands (≥ 2 — a single island *is* [`NsgaEngine`];
-    /// the pipeline keeps that path, and its cache keys, unchanged).
-    pub islands: usize,
-    /// Migration cadence in completed generations.
-    pub migration_every: usize,
-    /// Elites each island emits per migration epoch.
-    pub migrants: usize,
-}
-
-impl IslandEngine {
-    /// Engine with the given configuration and topology.
-    #[must_use]
-    pub fn new(
-        config: AxTrainConfig,
-        islands: usize,
-        migration_every: usize,
-        migrants: usize,
-    ) -> Self {
-        Self {
-            config,
-            islands,
-            migration_every,
-            migrants,
-        }
-    }
-
-    /// The [`pe_nsga::IslandConfig`] this engine trains under.
-    #[must_use]
-    pub fn topology(&self) -> pe_nsga::IslandConfig {
-        pe_nsga::IslandConfig {
-            nsga: self.config.nsga.clone(),
-            islands: self.islands,
-            migration_every: self.migration_every,
-            migrants: self.migrants,
-        }
-    }
-}
-
-impl SearchEngine for IslandEngine {
-    fn name(&self) -> &'static str {
-        "nsga2-axc-islands"
-    }
-
-    fn cache_fingerprint(&self) -> u64 {
-        fingerprint_json(&(
-            &self.config,
-            self.islands,
-            self.migration_every,
-            self.migrants,
-        ))
-    }
-
-    fn search(
-        &self,
-        ctx: &SearchContext<'_>,
-        ctl: &RunControl<'_>,
-    ) -> Result<SearchOutcome, FlowError> {
-        HwAwareTrainer::new(self.config.clone())
-            .with_eval_threads(ctx.eval_threads)
-            .with_variation(ctx.variation.copied())
-            .with_store(ctx.store.cloned())
-            .with_checkpoint(ctx.checkpoint.cloned())
-            .with_islands(Some(self.topology()))
+            .with_islands(self.islands, self.migration_every, self.migrants)
             .train_controlled(
                 ctx.baseline,
                 ctx.baseline_train_accuracy,
@@ -364,15 +334,13 @@ impl SearchEngine for PlainGaEngine {
             self.weight_bits,
             self.bias_bits,
         );
-        let mut history = Vec::with_capacity(self.nsga.generations);
         let started = Instant::now();
-        let result = crate::eval::run_ga_cached(
-            &Nsga2::new(self.nsga.clone()),
+        let (result, history) = crate::eval::run_ga(
+            &IslandModel::new(IslandConfig::single(self.nsga.clone())),
             &problem,
             Vec::new(),
             ctx.eval_threads,
             ctl,
-            &mut history,
             &|| None,
             ctx.checkpoint,
         );

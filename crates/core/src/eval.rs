@@ -32,17 +32,23 @@
 //! `PE_THREADS=1` and `PE_THREADS=32` runs byte-identical.
 //!
 //! Cache effectiveness is observable: [`CachedEvaluator::stats`]
-//! snapshots hit/miss counters, and the GA engines forward them as
-//! [`ProgressEvent::EvalCache`](crate::ProgressEvent::EvalCache) once
-//! per generation.
+//! snapshots hit/miss counters, and the GA driver (`run_ga`) forwards
+//! them as [`ProgressEvent::EvalCache`] once per generation.
 
 use std::collections::HashMap;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use pe_arith::cache::FxBuildHasher;
 use pe_arith::BoundedCache;
-use pe_nsga::{Evaluation, IntProblem};
+use pe_nsga::{
+    Evaluation, GenerationStats, IntProblem, IslandCheckpoint, IslandConfig, IslandModel,
+    NsgaResult, Resume, SearchCheckpoint, SearchHooks,
+};
+
+use crate::checkpoint::CheckpointSpec;
+use crate::progress::{ProgressEvent, RunControl};
 
 /// Worker-thread budget for parallel evaluation, from the `PE_THREADS`
 /// environment variable: unset, unparsable or `0` means one worker per
@@ -69,7 +75,7 @@ pub fn thread_budget() -> usize {
 pub const GENOME_CACHE_CAPACITY: usize = 1 << 14;
 
 /// Snapshot of a [`CachedEvaluator`]'s cache counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvalCacheStats {
     /// Genome evaluations served from the memo (lifetime).
     pub hits: u64,
@@ -230,15 +236,8 @@ impl<P: IntProblem + Sync> IntProblem for CachedEvaluator<P> {
     }
 
     fn evaluate_batch(&self, genomes: &[Vec<u32>]) -> Vec<Evaluation> {
-        // `PE_FAULT` drill site: one arrival per evaluation wave. Free
-        // (one initialization check) when no plan is armed.
-        match pe_store::fault::check(pe_store::fault::SITE_EVAL_BATCH) {
-            Some(pe_store::FaultAction::Kill) => pe_store::fault::kill_now(),
-            Some(pe_store::FaultAction::Err) => {
-                panic!("injected fault: eval_batch")
-            }
-            None => {}
-        }
+        // `PE_FAULT` drill site: one arrival per evaluation wave.
+        fault_point(pe_store::fault::SITE_EVAL_BATCH);
         let mut results: Vec<Option<Evaluation>> = vec![None; genomes.len()];
 
         // Phase 1 — one cache pass: resolve hits, deduplicate misses.
@@ -288,198 +287,90 @@ impl<P: IntProblem + Sync> IntProblem for CachedEvaluator<P> {
     }
 }
 
-/// Run an NSGA-II search through a [`CachedEvaluator`] with the shared
-/// progress protocol: per-generation stats are recorded into `history`
-/// and a [`ProgressEvent::GaGeneration`] followed by a
-/// [`ProgressEvent::EvalCache`] snapshot is emitted per generation;
-/// cancellation is honored at generation granularity. The single
-/// implementation behind [`HwAwareTrainer`](crate::HwAwareTrainer) and
-/// [`PlainGaEngine`](crate::PlainGaEngine).
-///
-/// `problem_stats` snapshots the problem's own caches — the
-/// neuron-column cache and the cost layer's gate-count memo — for the
-/// [`ProgressEvent::EvalCache`] event (`None` for problems without
-/// them, e.g. the plain GA — those counters report zero).
-///
-/// `checkpoint` makes the run crash-safe: a valid snapshot at the
-/// spec's path resumes the GA mid-stream (RNG state, population
-/// annotations and counters restored bit-exactly — the resumed run is
-/// byte-identical to an uninterrupted one), and new snapshots are
-/// flushed through [`pe_store::atomic_write`] every `spec.every`
-/// generations plus once on completion or cancellation. `None` keeps
-/// the historical single-shot behavior.
-// Internal plumbing shared by exactly two engines; a parameter struct
-// would only move the argument list one level up.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_ga_cached<P: IntProblem + Sync>(
-    nsga: &pe_nsga::Nsga2,
-    problem: &P,
-    seeds: Vec<Vec<u32>>,
-    eval_threads: usize,
-    ctl: &crate::progress::RunControl<'_>,
-    history: &mut Vec<pe_nsga::GenerationStats>,
-    problem_stats: &(dyn Fn() -> Option<ProblemCacheStats> + Sync),
-    checkpoint: Option<&crate::checkpoint::CheckpointSpec>,
-) -> pe_nsga::NsgaResult {
-    use crate::progress::ProgressEvent;
-    let generations = nsga.config().generations;
-    let evaluator = CachedEvaluator::with_options(problem, GENOME_CACHE_CAPACITY, eval_threads);
-
-    let checkpoint = checkpoint.filter(|spec| spec.is_active());
-    let resume =
-        checkpoint.and_then(|spec| crate::checkpoint::load(spec, nsga.config(), problem.bounds()));
-    if let Some(cp) = &resume {
-        // The observer below only sees the *new* generations; the
-        // already-run prefix comes straight from the snapshot so the
-        // outcome's history matches an uninterrupted run exactly.
-        history.extend(cp.history.iter().cloned());
+/// A `PE_FAULT` drill site: kill the process or panic as the armed plan
+/// says. Free (one initialization check) when no plan is armed.
+fn fault_point(site: &str) {
+    match pe_store::fault::check(site) {
+        Some(pe_store::FaultAction::Kill) => pe_store::fault::kill_now(),
+        Some(pe_store::FaultAction::Err) => panic!("injected fault: {site}"),
+        None => {}
     }
-    let sink = checkpoint.map(|spec| crate::checkpoint::FileSink::new(&spec.path, ctl));
-    let plan = checkpoint
-        .zip(sink.as_ref())
-        .map(|(spec, sink)| pe_nsga::CheckpointPlan {
-            every: spec.every,
-            sink,
-        });
-
-    nsga.run_checkpointed(&evaluator, seeds, resume, plan, |s| {
-        // `PE_FAULT` drill site: one arrival per completed generation,
-        // *before* this generation's checkpoint can flush — a kill here
-        // loses at most `every` generations of work, never durability.
-        match pe_store::fault::check(pe_store::fault::SITE_SEARCHED_GENERATION) {
-            Some(pe_store::FaultAction::Kill) => pe_store::fault::kill_now(),
-            Some(pe_store::FaultAction::Err) => {
-                panic!("injected fault: searched_generation")
-            }
-            None => {}
-        }
-        history.push(s.clone());
-        ctl.emit(&ProgressEvent::GaGeneration {
-            generation: s.generation,
-            generations,
-            evaluations: s.evaluations,
-        });
-        let cache = evaluator.stats();
-        let problem = problem_stats().unwrap_or_default();
-        let columns = problem.columns;
-        ctl.emit(&ProgressEvent::EvalCache {
-            hits: cache.hits,
-            misses: cache.misses,
-            entries: cache.entries,
-            column_hits: columns.hits,
-            column_misses: columns.misses,
-            column_entries: columns.entries,
-            column_contended: columns.contended,
-            column_shards: columns.shards,
-            cost_hits: problem.cost_hits,
-            cost_misses: problem.cost_misses,
-            store_ingested: problem.store.ingested,
-            store_deduplicated: problem.store.deduplicated,
-            store_bytes: problem.store.bytes_written,
-        });
-        !ctl.is_cancelled()
-    })
 }
 
-/// Run an island-model NSGA-II search with the shared progress
-/// protocol — the parallel counterpart of [`run_ga_cached`], driving
-/// [`pe_nsga::IslandModel`]'s epoch legs over a `std::thread::scope`
-/// worker pool.
+/// Run a GA search through the one driver ([`IslandModel::run`]) with
+/// the shared progress protocol; returns the merged result and the
+/// islands' histories in island order. The single implementation
+/// behind [`HwAwareTrainer`](crate::HwAwareTrainer) and
+/// [`PlainGaEngine`](crate::PlainGaEngine): a single population is
+/// the one-island model.
 ///
-/// The worker budget splits two levels deep, exactly like
+/// **Threads.** The worker budget splits two levels deep, exactly like
 /// [`Pipeline::run_many`](crate::Pipeline::run_many): `workers =
 /// budget.clamp(1, islands)` island legs run concurrently, each over a
 /// private [`CachedEvaluator`] with `budget / workers` evaluation
-/// threads — pools multiply up to the budget instead of
-/// oversubscribing. Each island keeps its *own* genome memo for the
-/// whole run (the memo's hit pattern is then a pure function of that
-/// island's deterministic stream, so worker count cannot change any
-/// counter, let alone any result); shared problem-level caches remain
-/// safe because [`IntProblem::evaluate`] is pure.
+/// threads (one island gets the whole budget). Each island keeps its
+/// own genome memo for the whole run, so the memo's hit pattern is a
+/// pure function of that island's deterministic stream; shared
+/// problem-level caches stay safe because [`IntProblem::evaluate`] is
+/// pure.
 ///
-/// Events: per-generation [`ProgressEvent::GaGeneration`] and
-/// genome-memo-only [`ProgressEvent::EvalCache`] events arrive wrapped
-/// in [`ProgressEvent::Island`] (islands interleave arbitrarily — fold
-/// tagged streams per island); each barrier emits one
-/// [`ProgressEvent::Migration`] per island, also tagged; the
-/// coordinator reports the shared problem-level cache counters in one
-/// *untagged* [`ProgressEvent::EvalCache`] per epoch, with the
-/// per-island memo fields zeroed, so aggregating consumers never
-/// double-count.
+/// **Events.** One island emits a [`ProgressEvent::GaGeneration`] then
+/// a [`ProgressEvent::EvalCache`] with every cache counter per
+/// generation. An archipelago wraps the same pair in
+/// [`ProgressEvent::Island`], the `EvalCache` carrying that island's
+/// memo counters only (islands interleave arbitrarily — fold tagged
+/// streams per island); at every barrier it reports the shared
+/// problem-level counters in one *untagged* `EvalCache` with the memo
+/// fields zeroed (so aggregating consumers never double-count), then
+/// one tagged [`ProgressEvent::Migration`] per island when elites were
+/// exchanged. Cancellation is honored at generation granularity.
 ///
-/// Crash safety: each leg forwards its cadence flushes to a per-island
-/// file next to the spec's path (see `island_path`), and every barrier
-/// persists a post-migration [`pe_nsga::IslandCheckpoint`] at the spec
-/// path itself. On resume the epoch file restores the barrier state
-/// and any strictly-newer island file fast-forwards its island, so a
-/// kill anywhere — mid-epoch or mid-migration — resumes bit-exactly.
-///
-/// The final history is the concatenation of the islands' recorded
-/// histories in island order (never the live interleave), keeping the
-/// outcome byte-identical at any worker count.
-#[allow(clippy::too_many_arguments)] // mirrors `run_ga_cached`
-pub(crate) fn run_ga_islands<P: IntProblem + Sync>(
-    model: &pe_nsga::IslandModel,
+/// **Crash safety.** An active `checkpoint` spec saves island `i` to
+/// its file (see `checkpoint::island_paths`) every `spec.every`
+/// generations, at the end of each of its legs and on cancellation; an
+/// archipelago's barriers also save the post-migration
+/// [`IslandCheckpoint`] at the spec path. On resume the barrier file
+/// restores the last exchanged state and any strictly newer island
+/// file fast-forwards its island (an equal one is the stale
+/// pre-migration flush of a persisted barrier), so a kill anywhere
+/// resumes bit-exactly. `problem_stats` snapshots the problem's own
+/// caches for the events (`None`: counters report zero).
+pub(crate) fn run_ga<P: IntProblem + Sync>(
+    model: &IslandModel,
     problem: &P,
     seeds: Vec<Vec<u32>>,
     eval_threads: usize,
-    ctl: &crate::progress::RunControl<'_>,
-    history: &mut Vec<pe_nsga::GenerationStats>,
+    ctl: &RunControl<'_>,
     problem_stats: &(dyn Fn() -> Option<ProblemCacheStats> + Sync),
-    checkpoint: Option<&crate::checkpoint::CheckpointSpec>,
-) -> pe_nsga::NsgaResult {
-    use crate::progress::ProgressEvent;
-    use pe_nsga::SearchCheckpoint;
-
-    let cfg = model.config();
-    let n = cfg.islands;
-    let generations = cfg.nsga.generations;
-
-    // Two-level thread split: island workers × per-island evaluation
-    // threads, multiplying to at most the budget.
+    checkpoint: Option<&CheckpointSpec>,
+) -> (NsgaResult, Vec<GenerationStats>) {
+    let n = model.config().islands;
     let budget = eval_threads.max(1);
-    let workers = budget.clamp(1, n.max(1));
-    let per_island_threads = (budget / workers).max(1);
-
+    let workers = budget.clamp(1, n);
     let evaluators: Vec<CachedEvaluator<&P>> = (0..n)
-        .map(|_| CachedEvaluator::with_options(problem, GENOME_CACHE_CAPACITY, per_island_threads))
+        .map(|_| CachedEvaluator::with_options(problem, GENOME_CACHE_CAPACITY, budget / workers))
         .collect();
 
-    // Doped seeds deal round-robin across the archipelago.
-    let mut island_seeds: Vec<Vec<Vec<u32>>> = (0..n).map(|_| Vec::new()).collect();
-    for (index, genome) in seeds.into_iter().enumerate() {
-        island_seeds[index % n].push(genome);
-    }
-
-    // Resume: the epoch file is the post-migration barrier state;
-    // island files override their slot only when strictly ahead of it
-    // (equal generations mean the island file is the stale
-    // pre-migration flush of an already-persisted barrier).
     let checkpoint = checkpoint.filter(|spec| spec.is_active());
-    let island_paths: Vec<std::path::PathBuf> = (0..n)
-        .map(|island| {
-            checkpoint.map_or_else(std::path::PathBuf::new, |spec| {
-                crate::checkpoint::island_path(&spec.path, island)
-            })
-        })
-        .collect();
-    let mut migrated_through = 0usize;
-    let mut states: Vec<Option<SearchCheckpoint>> = (0..n).map(|_| None).collect();
+    let paths = checkpoint.map_or_else(Vec::new, |spec| {
+        crate::checkpoint::island_paths(&spec.path, n)
+    });
+    let mut resume = Resume::default();
     if let Some(spec) = checkpoint {
-        if let Some(cp) = crate::checkpoint::load_island(spec, cfg, problem.bounds()) {
-            migrated_through = cp.generation;
-            states = cp.islands.into_iter().map(Some).collect();
+        if n > 1 {
+            let epoch = crate::checkpoint::load(&spec.path, "island", |cp: &IslandCheckpoint| {
+                cp.validate(model.config(), problem.bounds())
+            });
+            resume = epoch.map(Resume::from).unwrap_or_default();
         }
-        for (island, slot) in states.iter_mut().enumerate() {
-            let island_spec = crate::checkpoint::CheckpointSpec {
-                path: island_paths[island].clone(),
-                every: spec.every,
-            };
-            if let Some(cp) = crate::checkpoint::load(
-                &island_spec,
-                &model.island_configs()[island],
-                problem.bounds(),
-            ) {
+        resume.islands.resize_with(n, || None);
+        for ((slot, path), config) in resume
+            .islands
+            .iter_mut()
+            .zip(&paths)
+            .zip(model.island_configs())
+        {
+            if let Some(cp) = crate::checkpoint::load_search(path, config, problem.bounds()) {
                 if slot.as_ref().is_none_or(|s| cp.generation > s.generation) {
                     *slot = Some(cp);
                 }
@@ -487,213 +378,159 @@ pub(crate) fn run_ga_islands<P: IntProblem + Sync>(
         }
     }
 
-    let mut stopped = false;
-    for target in cfg.epoch_targets() {
-        if target <= migrated_through {
-            continue;
-        }
-
-        // One epoch leg: every island advances to the barrier, the
-        // standard claim-by-counter worker pool from `run_many`.
-        // One cell per island: its carried-over state plus any not-yet
-        // consumed seed genomes, claimed exactly once by the worker
-        // that picks the island up.
-        type LegInput = (Option<pe_nsga::SearchCheckpoint>, Vec<Vec<u32>>);
-        let inputs: Vec<Mutex<LegInput>> = states
-            .iter_mut()
-            .zip(island_seeds.iter_mut())
-            .map(|(state, seeds)| Mutex::new((state.take(), std::mem::take(seeds))))
-            .collect();
-        let outputs: Vec<Mutex<Option<SearchCheckpoint>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let island = next.fetch_add(1, Ordering::SeqCst);
-                    if island >= n {
-                        break;
-                    }
-                    let (state, leg_seeds) = {
-                        let mut guard = inputs[island]
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        (guard.0.take(), std::mem::take(&mut guard.1))
-                    };
-                    // Cadence flushes of this leg go to the island's own
-                    // durable file, reported as island-tagged events.
-                    let tagger = |e: &ProgressEvent| {
-                        ctl.emit(&ProgressEvent::Island {
-                            island,
-                            event: Box::new(e.clone()),
-                        });
-                    };
-                    let island_ctl = crate::progress::RunControl::new(Some(&tagger), None);
-                    let sink = checkpoint.map(|_| {
-                        crate::checkpoint::FileSink::new(&island_paths[island], &island_ctl)
-                    });
-                    let forward =
-                        checkpoint
-                            .zip(sink.as_ref())
-                            .map(|(spec, sink)| pe_nsga::CheckpointPlan {
-                                every: spec.every,
-                                sink,
-                            });
-                    let done = model.run_island_to(
-                        island,
-                        &evaluators[island],
-                        leg_seeds,
-                        state,
-                        target,
-                        forward,
-                        &mut |s| {
-                            // `PE_FAULT` drill site: same per-generation
-                            // arrival the single-population path has.
-                            match pe_store::fault::check(pe_store::fault::SITE_SEARCHED_GENERATION)
-                            {
-                                Some(pe_store::FaultAction::Kill) => pe_store::fault::kill_now(),
-                                Some(pe_store::FaultAction::Err) => {
-                                    panic!("injected fault: searched_generation")
-                                }
-                                None => {}
-                            }
-                            ctl.emit(&ProgressEvent::Island {
-                                island,
-                                event: Box::new(ProgressEvent::GaGeneration {
-                                    generation: s.generation,
-                                    generations,
-                                    evaluations: s.evaluations,
-                                }),
-                            });
-                            let cache = evaluators[island].stats();
-                            ctl.emit(&ProgressEvent::Island {
-                                island,
-                                event: Box::new(ProgressEvent::EvalCache {
-                                    hits: cache.hits,
-                                    misses: cache.misses,
-                                    entries: cache.entries,
-                                    // Problem-level caches are shared across
-                                    // islands; the coordinator reports them
-                                    // untagged so folds never double-count.
-                                    column_hits: 0,
-                                    column_misses: 0,
-                                    column_entries: 0,
-                                    column_contended: 0,
-                                    column_shards: 0,
-                                    cost_hits: 0,
-                                    cost_misses: 0,
-                                    store_ingested: 0,
-                                    store_deduplicated: 0,
-                                    store_bytes: 0,
-                                }),
-                            });
-                            !ctl.is_cancelled()
-                        },
-                    );
-                    *outputs[island]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(done);
-                });
-            }
-        });
-        for (slot, output) in states.iter_mut().zip(outputs) {
-            let state = output
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .expect("every island leg returns a state");
-            stopped |= state.generation < target;
-            *slot = Some(state);
-        }
-
-        // Shared problem-level cache counters, once per epoch,
-        // untagged (memo fields zero — those live in the island
-        // streams).
-        let shared = problem_stats().unwrap_or_default();
-        let columns = shared.columns;
-        ctl.emit(&ProgressEvent::EvalCache {
-            hits: 0,
-            misses: 0,
-            entries: 0,
-            column_hits: columns.hits,
-            column_misses: columns.misses,
-            column_entries: columns.entries,
-            column_contended: columns.contended,
-            column_shards: columns.shards,
-            cost_hits: shared.cost_hits,
-            cost_misses: shared.cost_misses,
-            store_ingested: shared.store.ingested,
-            store_deduplicated: shared.store.deduplicated,
-            store_bytes: shared.store.bytes_written,
-        });
-        if stopped {
-            break;
-        }
-
-        if target < generations {
-            // `PE_FAULT` drill site: one arrival per interior barrier,
-            // *before* the exchange and its epoch checkpoint — a kill
-            // here must resume from the per-island files and re-run
-            // the migration deterministically.
-            match pe_store::fault::check(pe_store::fault::SITE_ISLAND_MIGRATION) {
-                Some(pe_store::FaultAction::Kill) => pe_store::fault::kill_now(),
-                Some(pe_store::FaultAction::Err) => {
-                    panic!("injected fault: island_migration")
-                }
-                None => {}
-            }
-            let mut barrier: Vec<SearchCheckpoint> = states
-                .iter_mut()
-                .map(|slot| slot.take().expect("every island reached the barrier"))
-                .collect();
-            model.migrate(&mut barrier);
-            migrated_through = target;
-            for (slot, state) in states.iter_mut().zip(barrier) {
-                *slot = Some(state);
-            }
-            for island in 0..n {
-                ctl.emit(&ProgressEvent::Island {
-                    island,
-                    event: Box::new(ProgressEvent::Migration {
-                        generation: target,
-                        migrants: cfg.migrants,
-                    }),
-                });
-            }
-        }
-
-        if let Some(spec) = checkpoint {
-            crate::checkpoint::save_island(
-                &spec.path,
-                ctl,
-                &pe_nsga::IslandCheckpoint {
-                    generation: target,
-                    islands: states
-                        .iter()
-                        .map(|slot| slot.clone().expect("every island holds a state"))
-                        .collect(),
-                },
-            );
-        }
-    }
-
-    let finals: Vec<SearchCheckpoint> = states.into_iter().flatten().collect();
-    // The outcome's history is the islands' recorded histories in
-    // island order — a pure function of the deterministic streams,
-    // never the live event interleave.
-    for state in &finals {
-        history.extend(state.history.iter().cloned());
-    }
-    if !stopped {
+    let hooks = GaHooks {
+        ctl,
+        config: model.config(),
+        evaluators: &evaluators,
+        problem_stats,
+        checkpoint,
+        paths: &paths,
+    };
+    let outcome = model.run(&evaluators, seeds, resume, workers, &hooks);
+    if n > 1 && !ctl.is_cancelled() {
         // The run completed: the mid-epoch island files are superseded
-        // by the final epoch checkpoint (the pipeline deletes that one
-        // once the stage artifact is safely cached).
-        for path in &island_paths {
-            if checkpoint.is_some() {
-                let _ = std::fs::remove_file(path);
+        // by the final barrier checkpoint (the pipeline deletes that
+        // one once the stage artifact is safely cached).
+        for path in &paths {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+    outcome
+}
+
+/// [`run_ga`]'s side of the driver: events, fault sites and checkpoint
+/// files.
+struct GaHooks<'a, P> {
+    ctl: &'a RunControl<'a>,
+    config: &'a IslandConfig,
+    evaluators: &'a [CachedEvaluator<&'a P>],
+    problem_stats: &'a (dyn Fn() -> Option<ProblemCacheStats> + Sync),
+    /// The active checkpoint spec, if any: its path holds an
+    /// archipelago's barrier snapshots.
+    checkpoint: Option<&'a CheckpointSpec>,
+    /// Per-island checkpoint files (empty with checkpointing off).
+    paths: &'a [PathBuf],
+}
+
+impl<P> GaHooks<'_, P> {
+    /// Emit an island's event: untagged for the single population,
+    /// wrapped in [`ProgressEvent::Island`] for an archipelago.
+    fn emit(&self, island: usize, event: ProgressEvent) {
+        if self.evaluators.len() == 1 {
+            self.ctl.emit(&event);
+        } else {
+            self.ctl.emit(&ProgressEvent::Island {
+                island,
+                event: Box::new(event),
+            });
+        }
+    }
+
+    fn shared_stats(&self) -> ProblemCacheStats {
+        (self.problem_stats)().unwrap_or_default()
+    }
+}
+
+impl<P: IntProblem + Sync> SearchHooks for GaHooks<'_, P> {
+    fn checkpoint_every(&self) -> usize {
+        self.checkpoint.map_or(0, |spec| spec.every)
+    }
+
+    fn generation(&self, island: usize, state: &SearchCheckpoint) -> bool {
+        // Drill site: one arrival per completed generation, *before*
+        // this generation's checkpoint can flush — a kill here loses
+        // at most `every` generations of work, never durability.
+        fault_point(pe_store::fault::SITE_SEARCHED_GENERATION);
+        let stats = state
+            .history
+            .last()
+            .expect("a completed generation has stats");
+        self.emit(
+            island,
+            ProgressEvent::GaGeneration {
+                generation: stats.generation,
+                generations: self.config.nsga.generations,
+                evaluations: stats.evaluations,
+            },
+        );
+        // Archipelago islands share the problem-level caches; the
+        // barriers report those once, untagged.
+        let shared = if self.evaluators.len() == 1 {
+            self.shared_stats()
+        } else {
+            ProblemCacheStats::default()
+        };
+        self.emit(
+            island,
+            eval_cache_event(self.evaluators[island].stats(), shared),
+        );
+        !self.ctl.is_cancelled()
+    }
+
+    fn save(&self, island: usize, state: &SearchCheckpoint) {
+        if let Some(path) = self.paths.get(island) {
+            if crate::checkpoint::write(path, state) {
+                self.emit(
+                    island,
+                    ProgressEvent::Checkpoint {
+                        generation: state.generation,
+                        evaluations: state.evaluations,
+                    },
+                );
             }
         }
     }
-    model.merge(&finals)
+
+    fn barrier(&self, checkpoint: &IslandCheckpoint, migrated: bool) {
+        self.ctl.emit(&eval_cache_event(
+            EvalCacheStats::default(),
+            self.shared_stats(),
+        ));
+        if migrated {
+            // Drill site: one arrival per interior barrier, before its
+            // epoch checkpoint — a kill here must resume from the
+            // per-island files and re-run the migration.
+            fault_point(pe_store::fault::SITE_ISLAND_MIGRATION);
+            for island in 0..self.evaluators.len() {
+                self.emit(
+                    island,
+                    ProgressEvent::Migration {
+                        generation: checkpoint.generation,
+                        migrants: self.config.migrants,
+                    },
+                );
+            }
+        }
+        if let Some(spec) = self.checkpoint {
+            if crate::checkpoint::write(&spec.path, checkpoint) {
+                self.ctl.emit(&ProgressEvent::Checkpoint {
+                    generation: checkpoint.generation,
+                    evaluations: checkpoint.islands.iter().map(|s| s.evaluations).sum(),
+                });
+            }
+        }
+    }
+}
+
+/// The [`ProgressEvent::EvalCache`] of a genome memo and the problem's
+/// own caches.
+fn eval_cache_event(memo: EvalCacheStats, shared: ProblemCacheStats) -> ProgressEvent {
+    let columns = shared.columns;
+    ProgressEvent::EvalCache {
+        hits: memo.hits,
+        misses: memo.misses,
+        entries: memo.entries,
+        column_hits: columns.hits,
+        column_misses: columns.misses,
+        column_entries: columns.entries,
+        column_contended: columns.contended,
+        column_shards: columns.shards,
+        cost_hits: shared.cost_hits,
+        cost_misses: shared.cost_misses,
+        store_ingested: shared.store.ingested,
+        store_deduplicated: shared.store.deduplicated,
+        store_bytes: shared.store.bytes_written,
+    }
 }
 
 /// Snapshot of an [`IntProblem`]'s internal caches for the

@@ -55,11 +55,11 @@ pub struct StudyConfig {
     pub variation: Option<pe_hw::VariationConfig>,
     /// Island count of an island-model search (`0` or `1` — the
     /// default, and what any pre-island cached config deserializes
-    /// to — keeps the single-population engine and its cache keys
-    /// byte for byte; ≥ 2 selects
-    /// [`IslandEngine`](crate::engine::IslandEngine)). The `PE_ISLANDS`
-    /// knob is read by the bench harness into this field (see
-    /// [`islands_from_env`]).
+    /// to — keeps the single population and its cache keys byte for
+    /// byte; ≥ 2 makes
+    /// [`NsgaEngine`](crate::engine::NsgaEngine) an archipelago, with
+    /// its own name and cache keys). The `PE_ISLANDS` knob is read by
+    /// the bench harness into this field (see [`islands_from_env`]).
     #[serde(default)]
     pub islands: usize,
     /// Migration cadence in completed generations (`0` = the
@@ -105,17 +105,21 @@ impl StudyConfig {
 
     /// Apply the island-search environment knobs (`PE_ISLANDS`,
     /// `PE_MIGRATE_EVERY`) on top of this configuration — what the
-    /// bench bins call right after choosing a budget preset. Unset or
-    /// unparsable variables leave the corresponding field untouched.
-    #[must_use]
-    pub fn with_env_islands(mut self) -> Self {
-        if let Some(islands) = islands_from_env() {
+    /// bench bins call right after choosing a budget preset. Unset
+    /// variables leave the corresponding field untouched.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the variable and the accepted form when either
+    /// is set but not a non-negative integer.
+    pub fn with_env_islands(mut self) -> Result<Self, String> {
+        if let Some(islands) = islands_from_env()? {
             self.islands = islands;
         }
-        if let Some(every) = migrate_every_from_env() {
+        if let Some(every) = migrate_every_from_env()? {
             self.migration_every = every;
         }
-        self
+        Ok(self)
     }
 
     /// The SGD configuration this study uses for a given dataset.
@@ -130,24 +134,40 @@ impl StudyConfig {
     }
 }
 
-/// Island count from the `PE_ISLANDS` environment variable: unset or
-/// unparsable means `None` (leave the configured value); `0`/`1` force
-/// the single-population path; ≥ 2 selects the island engine.
-#[must_use]
-pub fn islands_from_env() -> Option<usize> {
-    std::env::var("PE_ISLANDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
+/// Island count from the `PE_ISLANDS` environment variable: unset
+/// means `None` (leave the configured value); `0`/`1` force the
+/// single-population path; ≥ 2 selects an archipelago.
+///
+/// # Errors
+///
+/// A message naming the variable and the accepted form when the value
+/// is not a non-negative integer.
+pub fn islands_from_env() -> Result<Option<usize>, String> {
+    count_from_env("PE_ISLANDS")
 }
 
 /// Migration cadence from the `PE_MIGRATE_EVERY` environment variable:
-/// unset or unparsable means `None` (leave the configured value); `0`
-/// restores the [`pe_nsga::DEFAULT_MIGRATION_EVERY`] default.
-#[must_use]
-pub fn migrate_every_from_env() -> Option<usize> {
-    std::env::var("PE_MIGRATE_EVERY")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
+/// unset means `None` (leave the configured value); `0` restores the
+/// [`pe_nsga::DEFAULT_MIGRATION_EVERY`] default.
+///
+/// # Errors
+///
+/// As [`islands_from_env`].
+pub fn migrate_every_from_env() -> Result<Option<usize>, String> {
+    count_from_env("PE_MIGRATE_EVERY")
+}
+
+fn count_from_env(var: &str) -> Result<Option<usize>, String> {
+    std::env::var_os(var)
+        .map(|value| parse_count(var, &value.to_string_lossy()))
+        .transpose()
+}
+
+/// Parse the value of the count knob `var`.
+fn parse_count(var: &str, value: &str) -> Result<usize, String> {
+    value.parse::<usize>().map_err(|_| {
+        format!("{var}={value:?} is not a count; accepted values: a non-negative integer")
+    })
 }
 
 /// All artifacts of one dataset's evaluation.
@@ -198,6 +218,17 @@ impl DatasetStudy {
 mod tests {
     use super::*;
     use pe_hw::TechLibrary;
+
+    #[test]
+    fn count_knobs_parse_and_bad_values_are_errors() {
+        assert_eq!(parse_count("PE_ISLANDS", "0"), Ok(0));
+        assert_eq!(parse_count("PE_ISLANDS", "4"), Ok(4));
+        for bad in ["bogus", "", "-1", "2.5", " 3"] {
+            let err = parse_count("PE_MIGRATE_EVERY", bad).unwrap_err();
+            assert!(err.starts_with("PE_MIGRATE_EVERY="), "{err}");
+            assert!(err.contains("a non-negative integer"), "{err}");
+        }
+    }
 
     #[test]
     fn quick_study_on_breast_cancer_end_to_end() {

@@ -13,7 +13,8 @@ use pe_mlp::{AxMlp, AxWeight, Edit, FixedMlp, IncrementalScorer, QuantMatrix};
 
 use crate::genome::GenomeSpec;
 
-/// Build the doped seed genomes for [`pe_nsga::Nsga2::run_seeded`].
+/// Build the doped seed genomes the GA driver injects into its initial
+/// population (the `seeds` of [`pe_nsga::IslandModel::run`]).
 ///
 /// `doped_count` copies of the baseline-derived pow2 network are
 /// injected: the first verbatim, the rest with a few random mask bits

@@ -110,8 +110,7 @@ pub use checkpoint::{checkpoint_every, CheckpointSpec, DEFAULT_CHECKPOINT_EVERY}
 pub use columns::{ColumnCacheStats, NeuronColumnCache, ShardStats, DEFAULT_SHARDS};
 pub use config::AxTrainConfig;
 pub use engine::{
-    fingerprint_json, IslandEngine, NsgaEngine, PlainGaEngine, SearchContext, SearchEngine,
-    SearchOutcome,
+    fingerprint_json, NsgaEngine, PlainGaEngine, SearchContext, SearchEngine, SearchOutcome,
 };
 pub use error::FlowError;
 pub use eval::{thread_budget, CachedEvaluator, EvalCacheStats};

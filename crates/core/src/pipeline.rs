@@ -36,7 +36,7 @@ use pe_hw::{
 };
 use pe_mlp::{fixed_to_hardware, train_best_of_observed, DenseMlp, FixedMlp, QuantConfig};
 
-use crate::engine::{IslandEngine, NsgaEngine, SearchContext, SearchEngine, SearchOutcome};
+use crate::engine::{NsgaEngine, SearchContext, SearchEngine, SearchOutcome};
 use crate::error::FlowError;
 use crate::fitness::AreaObjective;
 use crate::flow::{DatasetStudy, StudyConfig};
@@ -437,10 +437,10 @@ impl Study {
     /// the full generation count) with deterministic seeded ring
     /// migration every [`migration_every`](Self::migration_every)
     /// generations, merged through one final non-dominated sort — and
-    /// island legs scheduled concurrently over the worker budget (see
-    /// `crate::eval::run_ga_islands`). `0` or `1` keeps the
-    /// single-population [`NsgaEngine`] and its cache keys byte for
-    /// byte; ≥ 2 selects [`IslandEngine`], whose name and fingerprint
+    /// island legs scheduled concurrently over the worker budget. `0`
+    /// or `1` keeps the single population and its cache keys byte for
+    /// byte (both run the same GA driver as archipelagos); ≥ 2 gives
+    /// [`NsgaEngine`] its archipelago name and fingerprint, which
     /// re-key the `Searched`/`Selected` stage caches. Results are
     /// byte-identical at any `PE_THREADS`. Overrides the island count
     /// inside a [`config`](Self::config), if both are given.
@@ -587,23 +587,28 @@ impl Study {
                 return invalid(format!("invalid variation config: {reason}"));
             }
         }
-        // ≥ 2 islands swaps in the island engine (0/1 keeps the
-        // single-population path and its cache keys untouched); zero
+        // ≥ 2 islands make the engine an archipelago (0/1 keeps the
+        // single-population name and cache keys untouched); zero
         // cadence/migrants knobs resolve to the pe-nsga defaults here,
         // so the engine fingerprint always names concrete values.
-        let island_topology = (config.islands >= 2).then(|| pe_nsga::IslandConfig {
-            nsga: config.ga.nsga.clone(),
-            islands: config.islands,
-            migration_every: match config.migration_every {
+        let nsga_engine = NsgaEngine::new(config.ga.clone()).with_islands(
+            config.islands,
+            match config.migration_every {
                 0 => pe_nsga::DEFAULT_MIGRATION_EVERY,
                 every => every,
             },
-            migrants: match config.migrants {
+            match config.migrants {
                 0 => pe_nsga::DEFAULT_MIGRANTS,
                 migrants => migrants,
             },
-        });
-        if let Some(topology) = &island_topology {
+        );
+        if config.islands >= 2 {
+            let topology = pe_nsga::IslandConfig {
+                nsga: config.ga.nsga.clone(),
+                islands: config.islands,
+                migration_every: nsga_engine.migration_every,
+                migrants: nsga_engine.migrants,
+            };
             if let Err(reason) = topology.validate() {
                 return invalid(format!("invalid island topology: {reason}"));
             }
@@ -627,15 +632,9 @@ impl Study {
             crate::store::StoreSink::new(writer, self.dataset.spec().name, self.warm_start)
         });
 
-        let engine = self.engine.unwrap_or_else(|| match &island_topology {
-            Some(topology) => Arc::new(IslandEngine::new(
-                config.ga.clone(),
-                topology.islands,
-                topology.migration_every,
-                topology.migrants,
-            )) as Arc<dyn SearchEngine + Send + Sync>,
-            None => Arc::new(NsgaEngine::new(config.ga.clone())),
-        });
+        let engine = self
+            .engine
+            .unwrap_or_else(|| Arc::new(nsga_engine) as Arc<dyn SearchEngine + Send + Sync>);
         Ok(Pipeline {
             dataset: self.dataset,
             config,

@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 use pe_datasets::QuantizedData;
 use pe_hw::CostModel;
 use pe_mlp::{AxMlp, FixedMlp, QReluCfg, QuantMatrix};
-use pe_nsga::{Evaluation, GenerationStats, IntProblem, Nsga2};
+use pe_nsga::{Evaluation, GenerationStats, IntProblem, IslandConfig, IslandModel};
 
 use crate::config::AxTrainConfig;
 use crate::error::FlowError;
@@ -47,7 +47,9 @@ pub struct HwAwareTrainer {
     variation: Option<pe_hw::VariationConfig>,
     store: Option<crate::store::StoreSink>,
     checkpoint: Option<crate::checkpoint::CheckpointSpec>,
-    islands: Option<pe_nsga::IslandConfig>,
+    /// The GA topology over `config.nsga`: one island unless
+    /// [`with_islands`](Self::with_islands) says otherwise.
+    topology: IslandConfig,
 }
 
 impl HwAwareTrainer {
@@ -55,12 +57,12 @@ impl HwAwareTrainer {
     #[must_use]
     pub fn new(config: AxTrainConfig) -> Self {
         Self {
-            config,
             eval_threads: None,
             variation: None,
             store: None,
             checkpoint: None,
-            islands: None,
+            topology: IslandConfig::single(config.nsga.clone()),
+            config,
         }
     }
 
@@ -113,22 +115,25 @@ impl HwAwareTrainer {
         self
     }
 
-    /// Evolve an island archipelago instead of one population: the
-    /// configured topology (island count, migration cadence, migrant
-    /// batch — `topology.nsga` must equal this trainer's NSGA
-    /// configuration) splits the same evaluation budget over N
-    /// concurrently-evolving sub-populations with deterministic ring
-    /// migration (see [`pe_nsga::IslandModel`]). `None` (the default)
-    /// keeps the single-population loop bit for bit.
+    /// Evolve an archipelago of `islands` sub-populations instead of
+    /// one population: the same evaluation budget split over
+    /// concurrently-evolving islands with deterministic ring migration
+    /// of `migrants` elites every `migration_every` generations (see
+    /// [`pe_nsga::IslandModel`]). `0` or `1` island keeps the single
+    /// population (the default), whatever the other two values.
     ///
     /// # Panics
     ///
     /// [`train`](Self::train) panics if the topology fails
-    /// [`pe_nsga::IslandConfig::validate`] or disagrees with the
-    /// trainer's NSGA configuration.
+    /// [`IslandConfig::validate`].
     #[must_use]
-    pub fn with_islands(mut self, islands: Option<pe_nsga::IslandConfig>) -> Self {
-        self.islands = islands;
+    pub fn with_islands(mut self, islands: usize, migration_every: usize, migrants: usize) -> Self {
+        self.topology = IslandConfig {
+            islands: islands.max(1),
+            migration_every,
+            migrants,
+            ..IslandConfig::single(self.config.nsga.clone())
+        };
         self
     }
 
@@ -270,7 +275,6 @@ impl HwAwareTrainer {
         // results come back in input order, so the run is
         // byte-identical to a serial, uncached one.
         let eval_threads = self.eval_threads.unwrap_or_else(crate::eval::thread_budget);
-        let mut history = Vec::with_capacity(self.config.nsga.generations);
         let started = Instant::now();
         let problem_stats = || {
             let (cost_hits, cost_misses) = problem.cost_cache_stats();
@@ -281,33 +285,15 @@ impl HwAwareTrainer {
                 store: problem.store_stats(),
             })
         };
-        let result = if let Some(topology) = &self.islands {
-            assert_eq!(
-                topology.nsga, self.config.nsga,
-                "island topology must carry the trainer's NSGA configuration"
-            );
-            crate::eval::run_ga_islands(
-                &pe_nsga::IslandModel::new(topology.clone()),
-                &problem,
-                seeds,
-                eval_threads,
-                ctl,
-                &mut history,
-                &problem_stats,
-                self.checkpoint.as_ref(),
-            )
-        } else {
-            crate::eval::run_ga_cached(
-                &Nsga2::new(self.config.nsga.clone()),
-                &problem,
-                seeds,
-                eval_threads,
-                ctl,
-                &mut history,
-                &problem_stats,
-                self.checkpoint.as_ref(),
-            )
-        };
+        let (result, history) = crate::eval::run_ga(
+            &IslandModel::new(self.topology.clone()),
+            &problem,
+            seeds,
+            eval_threads,
+            ctl,
+            &problem_stats,
+            self.checkpoint.as_ref(),
+        );
         let ga_wall = started.elapsed();
         ctl.ensure_live(StageKind::Searched)?;
 
@@ -556,7 +542,7 @@ impl IntProblem for PlainGaProblem {
 mod tests {
     use super::*;
     use pe_mlp::FixedLayer;
-    use pe_nsga::NsgaConfig;
+    use pe_nsga::{Nsga2, NsgaConfig};
 
     /// A linearly separable 1-feature problem with a 1-layer baseline.
     fn tiny_setup() -> (FixedMlp, QuantizedData, QuantizedData) {

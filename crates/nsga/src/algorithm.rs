@@ -1,15 +1,19 @@
-//! The NSGA-II main loop.
+//! The NSGA-II generation.
 //!
 //! Elitist (μ+λ) evolution with fast non-dominated sorting, crowding-
 //! distance truncation and binary tournaments, as in Deb et al. (2002)
 //! — the algorithm the paper picked for its "simplicity, low
-//! computational complexity, and enhanced convergence" (§IV-A).
+//! computational complexity, and enhanced convergence" (§IV-A). One
+//! generation is a step over a [`SearchCheckpoint`]; the GA driver
+//! ([`IslandModel::run`]) steps it, and [`Nsga2::run`] is the driver's
+//! one-island case.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::individual::Individual;
+use crate::island::{IslandConfig, IslandModel, Resume};
 use crate::operators::{crossover, mutate_mixed, random_genome, CrossoverKind};
 use crate::problem::IntProblem;
 use crate::sort::{assign_crowding, fast_non_dominated_sort};
@@ -77,12 +81,12 @@ pub struct NsgaResult {
     pub generations: usize,
 }
 
-/// A serializable snapshot of a run taken right after a completed
-/// generation. Restoring it (see [`Nsga2::run_checkpointed`]) resumes
-/// the evolution bit-exactly: the population, the RNG stream position
-/// and the evaluation counter all continue where the snapshot left off,
-/// so a killed-and-resumed run is byte-identical to an uninterrupted
-/// one.
+/// The state of one population between generations — the unit the
+/// GA driver ([`IslandModel::run`]) steps, and the snapshot it saves.
+/// Restoring it resumes the evolution bit-exactly: the population, the
+/// RNG stream position and the evaluation counter all continue where
+/// the snapshot left off, so a killed-and-resumed run is byte-identical
+/// to an uninterrupted one.
 ///
 /// The population's rank/crowding annotations are part of the snapshot
 /// and are restored verbatim: survivors carry annotations computed
@@ -112,6 +116,109 @@ pub struct SearchCheckpoint {
 }
 
 impl SearchCheckpoint {
+    /// A fresh population of `config` before its first generation:
+    /// `seeds` are injected verbatim (truncated to the population
+    /// size) and the remainder is drawn uniformly — the hook the
+    /// paper's "doped" initialization uses (§IV-A: ~10% nearly
+    /// non-approximate chromosomes). All genomes are generated first,
+    /// then scored as one wave.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the population size is below 2 or a seed genome has
+    /// the wrong length.
+    pub(crate) fn initial<P: IntProblem>(
+        config: &NsgaConfig,
+        problem: &P,
+        seeds: Vec<Vec<u32>>,
+    ) -> Self {
+        assert!(config.population >= 2, "population must be at least 2");
+        let bounds = problem.bounds();
+        let mut rng = StdRng::seed_from_u64(config.seed ^ 0x6c62_272e_07bb_0142);
+        let mut genomes: Vec<Vec<u32>> = Vec::with_capacity(config.population);
+        for genes in seeds.into_iter().take(config.population) {
+            assert_eq!(genes.len(), bounds.len(), "seed genome length mismatch");
+            genomes.push(genes);
+        }
+        while genomes.len() < config.population {
+            genomes.push(random_genome(bounds, &mut rng));
+        }
+        let mut evaluations = 0;
+        let mut population = evaluate_wave(problem, genomes, &mut evaluations);
+        annotate(&mut population);
+        Self {
+            config: config.clone(),
+            generation: 0,
+            rng_state: rng.state(),
+            evaluations,
+            population,
+            history: Vec::with_capacity(config.generations),
+        }
+    }
+
+    /// Run one generation in place: breed a wave of offspring by binary
+    /// tournaments, crossover and mutation, score it as one batch, keep
+    /// the best μ of parents and offspring, and record the generation's
+    /// stats in `history`.
+    pub(crate) fn step<P: IntProblem>(&mut self, problem: &P) {
+        let cfg = &self.config;
+        let bounds = problem.bounds();
+        let pop = &self.population;
+        let mut rng = StdRng::from_state(self.rng_state);
+        let mut offspring: Vec<Vec<u32>> = Vec::with_capacity(cfg.population);
+        while offspring.len() < cfg.population {
+            let p1 = tournament(pop, &mut rng);
+            let p2 = tournament(pop, &mut rng);
+            let (mut c1, mut c2) = if rng.gen_bool(cfg.crossover_prob.clamp(0.0, 1.0)) {
+                crossover(cfg.crossover_kind, &pop[p1].genes, &pop[p2].genes, &mut rng)
+            } else {
+                (pop[p1].genes.clone(), pop[p2].genes.clone())
+            };
+            mutate_mixed(
+                &mut c1,
+                bounds,
+                cfg.mutation_prob,
+                cfg.creep_fraction,
+                &mut rng,
+            );
+            mutate_mixed(
+                &mut c2,
+                bounds,
+                cfg.mutation_prob,
+                cfg.creep_fraction,
+                &mut rng,
+            );
+            offspring.push(c1);
+            if offspring.len() < cfg.population {
+                offspring.push(c2);
+            }
+        }
+        self.rng_state = rng.state();
+        let offspring = evaluate_wave(problem, offspring, &mut self.evaluations);
+
+        // Environmental selection over parents + offspring.
+        let mut pool = std::mem::take(&mut self.population);
+        pool.extend(offspring);
+        self.population = select_mu(pool, self.config.population);
+
+        let pop = &self.population;
+        let m = pop[0].evaluation.objectives.len();
+        let best_objectives: Vec<f64> = (0..m)
+            .map(|obj| {
+                pop.iter()
+                    .map(|i| i.evaluation.objectives[obj])
+                    .fold(f64::INFINITY, f64::min)
+            })
+            .collect();
+        self.history.push(GenerationStats {
+            generation: self.generation,
+            front_size: pop.iter().filter(|i| i.rank == 0).count(),
+            best_objectives,
+            evaluations: self.evaluations,
+        });
+        self.generation += 1;
+    }
+
     /// Check that this snapshot can resume a run of `config` over a
     /// problem with the given `bounds`. Returns a human-readable reason
     /// when it cannot (mismatched configuration, wrong population
@@ -170,35 +277,6 @@ impl SearchCheckpoint {
     }
 }
 
-/// Destination for [`SearchCheckpoint`]s emitted mid-run (a file, a
-/// test buffer, …). Implementations must not assume they are called at
-/// any particular cadence.
-pub trait CheckpointSink {
-    /// Persist one snapshot. Failures must be handled internally —
-    /// checkpointing is best-effort durability and must never abort the
-    /// search itself.
-    fn save(&self, checkpoint: &SearchCheckpoint);
-}
-
-/// Cadence and destination for mid-run checkpointing.
-#[derive(Clone, Copy)]
-pub struct CheckpointPlan<'a> {
-    /// Emit a snapshot every this many completed generations (`0`
-    /// disables cadence-driven snapshots; a stop requested by the
-    /// observer and the final generation still flush one).
-    pub every: usize,
-    /// Where snapshots go.
-    pub sink: &'a dyn CheckpointSink,
-}
-
-impl std::fmt::Debug for CheckpointPlan<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CheckpointPlan")
-            .field("every", &self.every)
-            .finish_non_exhaustive()
-    }
-}
-
 /// The NSGA-II optimizer.
 #[derive(Debug, Clone)]
 pub struct Nsga2 {
@@ -218,209 +296,24 @@ impl Nsga2 {
         &self.config
     }
 
-    /// Run the optimizer with a randomly initialized population.
-    pub fn run<P: IntProblem>(&self, problem: &P) -> NsgaResult {
-        self.run_seeded(problem, Vec::new(), |_| {})
-    }
-
-    /// Run with an initial (possibly partial) seed population and a
-    /// per-generation observer.
-    ///
-    /// `seeds` genomes are injected verbatim (truncated to the
-    /// population size); the remainder is drawn uniformly — this is the
-    /// hook the paper's "doped" initialization uses (§IV-A: ~10%
-    /// nearly non-approximate chromosomes).
+    /// Run the optimizer with a randomly initialized population: the
+    /// one-island case of [`IslandModel::run`], which also takes seed
+    /// genomes, resume states and per-generation hooks.
     ///
     /// # Panics
     ///
-    /// Panics if the population size is zero or a seed genome has the
-    /// wrong length.
-    pub fn run_seeded<P: IntProblem, F: FnMut(&GenerationStats)>(
-        &self,
-        problem: &P,
-        seeds: Vec<Vec<u32>>,
-        mut observer: F,
-    ) -> NsgaResult {
-        self.run_controlled(problem, seeds, |stats| {
-            observer(stats);
-            true
-        })
-    }
-
-    /// Like [`run_seeded`](Self::run_seeded), but the observer also
-    /// steers the run: returning `false` stops the evolution after the
-    /// current generation (cooperative cancellation).
-    ///
-    /// The result's `generations` field records how many generations
-    /// actually executed; up to that point the run is bit-identical to
-    /// an uncancelled one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the population size is zero or a seed genome has the
-    /// wrong length.
-    pub fn run_controlled<P: IntProblem, F: FnMut(&GenerationStats) -> bool>(
-        &self,
-        problem: &P,
-        seeds: Vec<Vec<u32>>,
-        observer: F,
-    ) -> NsgaResult {
-        self.run_checkpointed(problem, seeds, None, None, observer)
-    }
-
-    /// Like [`run_controlled`](Self::run_controlled), plus crash-safe
-    /// checkpointing: when `resume` carries a [`SearchCheckpoint`] the
-    /// run skips the already-completed generations and continues the
-    /// RNG stream, population and evaluation counter exactly where the
-    /// snapshot was taken — the resumed run is bit-identical to an
-    /// uninterrupted one. When `plan` is set, a snapshot is emitted
-    /// through its sink every `plan.every` completed generations, after
-    /// the final generation, and whenever the observer requests a stop
-    /// (so a cancelled run resumes where it stopped).
-    ///
-    /// The observer only sees generations actually executed in this
-    /// call; replayed history is available in `resume.history`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the population size is below 2, a seed genome has the
-    /// wrong length, or `resume` fails [`SearchCheckpoint::validate`]
-    /// against this configuration and problem (callers wanting
-    /// fallback-to-fresh behaviour should validate before passing it).
-    pub fn run_checkpointed<P: IntProblem, F: FnMut(&GenerationStats) -> bool>(
-        &self,
-        problem: &P,
-        seeds: Vec<Vec<u32>>,
-        resume: Option<SearchCheckpoint>,
-        plan: Option<CheckpointPlan<'_>>,
-        mut observer: F,
-    ) -> NsgaResult {
-        let cfg = &self.config;
-        assert!(cfg.population >= 2, "population must be at least 2");
-        let bounds = problem.bounds().to_vec();
-
-        let (mut pop, mut rng, mut evaluations, mut history, start);
-        if let Some(cp) = resume {
-            cp.validate(cfg, &bounds)
-                .unwrap_or_else(|reason| panic!("invalid checkpoint: {reason}"));
-            rng = StdRng::from_state(cp.rng_state);
-            evaluations = cp.evaluations;
-            start = cp.generation;
-            history = cp.history;
-            pop = cp.population;
-            for ind in &mut pop {
-                // A front-boundary point's +∞ crowding renders as JSON
-                // null and deserializes as NaN; map it back so the
-                // restored annotations equal the snapshot's exactly.
-                if ind.crowding.is_nan() {
-                    ind.crowding = f64::INFINITY;
-                }
-            }
-        } else {
-            rng = StdRng::seed_from_u64(cfg.seed ^ 0x6c62_272e_07bb_0142);
-            evaluations = 0u64;
-            start = 0;
-            history = Vec::new();
-
-            // Initial population: seeds first, random fill after. All
-            // genomes are generated first, then scored as one batch — the
-            // RNG stream (and therefore the run) is identical to scoring
-            // them one by one, but problems with a fast bulk path (see
-            // [`IntProblem::evaluate_batch`]) get the whole wave at once.
-            let mut genomes: Vec<Vec<u32>> = Vec::with_capacity(cfg.population);
-            for genes in seeds.into_iter().take(cfg.population) {
-                assert_eq!(genes.len(), bounds.len(), "seed genome length mismatch");
-                genomes.push(genes);
-            }
-            while genomes.len() < cfg.population {
-                genomes.push(random_genome(&bounds, &mut rng));
-            }
-            pop = evaluate_wave(problem, genomes, &mut evaluations);
-            annotate(&mut pop);
-        }
-
-        let mut executed = start;
-        for generation in start..cfg.generations {
-            // Offspring via binary tournaments + crossover + mutation;
-            // the wave is bred first, then evaluated as one batch.
-            let mut offspring_genomes: Vec<Vec<u32>> = Vec::with_capacity(cfg.population);
-            while offspring_genomes.len() < cfg.population {
-                let p1 = tournament(&pop, &mut rng);
-                let p2 = tournament(&pop, &mut rng);
-                let (mut c1, mut c2) = if rng.gen_bool(cfg.crossover_prob.clamp(0.0, 1.0)) {
-                    crossover(cfg.crossover_kind, &pop[p1].genes, &pop[p2].genes, &mut rng)
-                } else {
-                    (pop[p1].genes.clone(), pop[p2].genes.clone())
-                };
-                mutate_mixed(
-                    &mut c1,
-                    &bounds,
-                    cfg.mutation_prob,
-                    cfg.creep_fraction,
-                    &mut rng,
-                );
-                mutate_mixed(
-                    &mut c2,
-                    &bounds,
-                    cfg.mutation_prob,
-                    cfg.creep_fraction,
-                    &mut rng,
-                );
-                offspring_genomes.push(c1);
-                if offspring_genomes.len() < cfg.population {
-                    offspring_genomes.push(c2);
-                }
-            }
-            let offspring = evaluate_wave(problem, offspring_genomes, &mut evaluations);
-
-            // Environmental selection over parents + offspring.
-            pop.extend(offspring);
-            pop = select_mu(pop, cfg.population);
-
-            let front_size = pop.iter().filter(|i| i.rank == 0).count();
-            let m = pop[0].evaluation.objectives.len();
-            let best_objectives: Vec<f64> = (0..m)
-                .map(|obj| {
-                    pop.iter()
-                        .map(|i| i.evaluation.objectives[obj])
-                        .fold(f64::INFINITY, f64::min)
-                })
-                .collect();
-            executed = generation + 1;
-            let stats = GenerationStats {
-                generation,
-                front_size,
-                best_objectives,
-                evaluations,
-            };
-            history.push(stats.clone());
-            let keep_going = observer(&stats);
-            if let Some(plan) = plan {
-                let due = plan.every > 0 && executed % plan.every == 0;
-                let stopping = !keep_going || executed == cfg.generations;
-                if due || stopping {
-                    plan.sink.save(&SearchCheckpoint {
-                        config: cfg.clone(),
-                        generation: executed,
-                        rng_state: rng.state(),
-                        evaluations,
-                        population: pop.clone(),
-                        history: history.clone(),
-                    });
-                }
-            }
-            if !keep_going {
-                break;
-            }
-        }
-
-        let pareto_front: Vec<Individual> = pop.iter().filter(|i| i.rank == 0).cloned().collect();
-        NsgaResult {
-            population: pop,
-            pareto_front,
-            evaluations,
-            generations: executed,
-        }
+    /// Panics if the population size is below 2 or the generation
+    /// budget is zero.
+    pub fn run<P: IntProblem + Sync>(&self, problem: &P) -> NsgaResult {
+        IslandModel::new(IslandConfig::single(self.config.clone()))
+            .run(
+                std::slice::from_ref(problem),
+                Vec::new(),
+                Resume::default(),
+                1,
+                &(),
+            )
+            .0
     }
 }
 
@@ -501,7 +394,10 @@ fn select_mu(mut pop: Vec<Individual>, mu: usize) -> Vec<Individual> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+
     use super::*;
+    use crate::island::SearchHooks;
     use crate::problem::Evaluation;
 
     /// Minimize (x - 30)² and (x - 70)² over a single gene: the Pareto
@@ -556,6 +452,68 @@ mod tests {
         assert_eq!(a.evaluations, b.evaluations);
     }
 
+    /// Test hooks: record every generation's stats, capture every save
+    /// (at cadence `every`), and stop after generation index
+    /// `stop_after`.
+    struct Capture {
+        every: usize,
+        stop_after: usize,
+        seen: Mutex<Vec<GenerationStats>>,
+        saved: Mutex<Vec<SearchCheckpoint>>,
+    }
+
+    impl Capture {
+        fn new(every: usize) -> Self {
+            Self::stopping_after(every, usize::MAX)
+        }
+
+        fn stopping_after(every: usize, stop_after: usize) -> Self {
+            Self {
+                every,
+                stop_after,
+                seen: Mutex::default(),
+                saved: Mutex::default(),
+            }
+        }
+
+        fn saved(self) -> Vec<SearchCheckpoint> {
+            self.saved.into_inner().expect("unpoisoned")
+        }
+    }
+
+    impl SearchHooks for Capture {
+        fn checkpoint_every(&self) -> usize {
+            self.every
+        }
+        fn generation(&self, _island: usize, state: &SearchCheckpoint) -> bool {
+            let stats = state.history.last().expect("stats recorded").clone();
+            let keep = stats.generation < self.stop_after;
+            self.seen.lock().expect("unpoisoned").push(stats);
+            keep
+        }
+        fn save(&self, _island: usize, state: &SearchCheckpoint) {
+            self.saved.lock().expect("unpoisoned").push(state.clone());
+        }
+    }
+
+    /// One population through the driver, with seeds, a resume state
+    /// and hooks.
+    fn run_one<P: IntProblem + Sync>(
+        cfg: &NsgaConfig,
+        problem: &P,
+        seeds: Vec<Vec<u32>>,
+        resume: Option<SearchCheckpoint>,
+        hooks: &dyn SearchHooks,
+    ) -> NsgaResult {
+        let resume = Resume {
+            islands: vec![resume],
+            migrated_through: 0,
+        };
+        IslandModel::new(IslandConfig::single(cfg.clone()))
+            .run(std::slice::from_ref(problem), seeds, resume, 1, hooks)
+            .0
+    }
+
     #[test]
     fn seeding_injects_genomes() {
         struct CountFirstGene;
@@ -568,21 +526,18 @@ mod tests {
                 Evaluation::feasible(vec![f64::from(genes[0]), -f64::from(genes[0])])
             }
         }
-        let problem = CountFirstGene;
-        let mut seen_zero_gen_stats = Vec::new();
-        let result = Nsga2::new(NsgaConfig {
+        let cfg = NsgaConfig {
             population: 10,
             generations: 1,
             mutation_prob: 0.0,
             crossover_prob: 0.0,
             ..NsgaConfig::default()
-        })
-        .run_seeded(&problem, vec![vec![999]], |s| {
-            seen_zero_gen_stats.push(s.clone())
-        });
+        };
+        let hooks = Capture::new(0);
+        let result = run_one(&cfg, &CountFirstGene, vec![vec![999]], None, &hooks);
         // The seeded genome minimizes objective 1; it must survive elitism.
         assert!(result.population.iter().any(|i| i.genes == vec![999]));
-        assert_eq!(seen_zero_gen_stats.len(), 1);
+        assert_eq!(hooks.seen.lock().expect("unpoisoned").len(), 1);
     }
 
     #[test]
@@ -593,35 +548,23 @@ mod tests {
             generations: 50,
             ..NsgaConfig::default()
         };
-        let result = Nsga2::new(cfg.clone()).run_controlled(&problem, Vec::new(), |s| {
-            s.generation < 3 // continue through generations 0..=3
-        });
+        // Continue through generations 0..=3.
+        let stopping = Capture::stopping_after(0, 3);
+        let result = run_one(&cfg, &problem, Vec::new(), None, &stopping);
         assert_eq!(result.generations, 4);
         assert_eq!(result.evaluations, 10 + 4 * 10);
         assert!(!result.pareto_front.is_empty());
 
         // The prefix of a cancelled run matches the uncancelled run.
-        let mut full_gen3 = None;
-        let full = Nsga2::new(cfg).run_seeded(&problem, Vec::new(), |s| {
-            if s.generation == 3 {
-                full_gen3 = Some(s.clone());
-            }
-        });
-        assert_eq!(full.generations, 50);
+        let full = Capture::new(0);
+        let uncancelled = run_one(&cfg, &problem, Vec::new(), None, &full);
+        assert_eq!(uncancelled.generations, 50);
+        let seen = full.seen.into_inner().expect("unpoisoned");
         assert_eq!(
-            full_gen3.expect("generation 3 observed").evaluations,
-            result.evaluations
+            seen[..4],
+            stopping.seen.into_inner().expect("unpoisoned")[..]
         );
-    }
-
-    /// Test sink: captures every snapshot in order.
-    #[derive(Default)]
-    struct Capture(std::cell::RefCell<Vec<SearchCheckpoint>>);
-
-    impl CheckpointSink for Capture {
-        fn save(&self, checkpoint: &SearchCheckpoint) {
-            self.0.borrow_mut().push(checkpoint.clone());
-        }
+        assert_eq!(seen[3].evaluations, result.evaluations);
     }
 
     #[test]
@@ -632,19 +575,9 @@ mod tests {
             generations: 9,
             ..NsgaConfig::default()
         };
-        let sink = Capture::default();
-        let plan = CheckpointPlan {
-            every: 1,
-            sink: &sink,
-        };
-        let baseline = Nsga2::new(cfg.clone()).run_checkpointed(
-            &problem,
-            Vec::new(),
-            None,
-            Some(plan),
-            |_| true,
-        );
-        let checkpoints = sink.0.into_inner();
+        let hooks = Capture::new(1);
+        let baseline = run_one(&cfg, &problem, Vec::new(), None, &hooks);
+        let checkpoints = hooks.saved();
         assert_eq!(checkpoints.len(), cfg.generations);
 
         for cp in checkpoints {
@@ -655,17 +588,8 @@ mod tests {
             restored
                 .validate(&cfg, &[101])
                 .expect("round-tripped checkpoint is valid");
-            let resumed = Nsga2::new(cfg.clone()).run_checkpointed(
-                &problem,
-                Vec::new(),
-                Some(restored),
-                None,
-                |_| true,
-            );
-            assert_eq!(resumed.population, baseline.population);
-            assert_eq!(resumed.pareto_front, baseline.pareto_front);
-            assert_eq!(resumed.evaluations, baseline.evaluations);
-            assert_eq!(resumed.generations, baseline.generations);
+            let resumed = run_one(&cfg, &problem, Vec::new(), Some(restored), &());
+            assert_eq!(resumed, baseline);
         }
     }
 
@@ -679,16 +603,10 @@ mod tests {
         };
         // Cadence would fire at 10, 20, …; the stop after generation
         // index 2 must flush a snapshot anyway.
-        let sink = Capture::default();
-        let plan = CheckpointPlan {
-            every: 10,
-            sink: &sink,
-        };
-        let stopped =
-            Nsga2::new(cfg.clone())
-                .run_checkpointed(&problem, Vec::new(), None, Some(plan), |s| s.generation < 2);
+        let hooks = Capture::stopping_after(10, 2);
+        let stopped = run_one(&cfg, &problem, Vec::new(), None, &hooks);
         assert_eq!(stopped.generations, 3);
-        let checkpoints = sink.0.into_inner();
+        let checkpoints = hooks.saved();
         assert_eq!(checkpoints.len(), 1);
         let cp = checkpoints.into_iter().next().expect("one checkpoint");
         assert_eq!(cp.generation, 3);
@@ -697,9 +615,7 @@ mod tests {
 
         // Resuming the flushed snapshot completes the run identically
         // to an uninterrupted one.
-        let resumed =
-            Nsga2::new(cfg.clone())
-                .run_checkpointed(&problem, Vec::new(), Some(cp), None, |_| true);
+        let resumed = run_one(&cfg, &problem, Vec::new(), Some(cp), &());
         let uninterrupted = Nsga2::new(cfg).run(&problem);
         assert_eq!(resumed.population, uninterrupted.population);
         assert_eq!(resumed.evaluations, uninterrupted.evaluations);
@@ -715,19 +631,9 @@ mod tests {
         };
         // `every: 3` fires at generations 3 and 6; generation 7 is the
         // final one and flushes regardless of cadence.
-        let sink = Capture::default();
-        let plan = CheckpointPlan {
-            every: 3,
-            sink: &sink,
-        };
-        let _ = Nsga2::new(cfg.clone()).run_checkpointed(
-            &problem,
-            Vec::new(),
-            None,
-            Some(plan),
-            |_| true,
-        );
-        let generations: Vec<usize> = sink.0.into_inner().iter().map(|c| c.generation).collect();
+        let hooks = Capture::new(3);
+        let _ = run_one(&cfg, &problem, Vec::new(), None, &hooks);
+        let generations: Vec<usize> = hooks.saved().iter().map(|c| c.generation).collect();
         assert_eq!(generations, vec![3, 6, 7]);
     }
 
@@ -739,19 +645,9 @@ mod tests {
             generations: 6,
             ..NsgaConfig::default()
         };
-        let sink = Capture::default();
-        let plan = CheckpointPlan {
-            every: 2,
-            sink: &sink,
-        };
-        let _ = Nsga2::new(cfg.clone()).run_checkpointed(
-            &problem,
-            Vec::new(),
-            None,
-            Some(plan),
-            |_| true,
-        );
-        let cp = sink.0.into_inner().into_iter().next().expect("checkpoint");
+        let hooks = Capture::new(2);
+        let _ = run_one(&cfg, &problem, Vec::new(), None, &hooks);
+        let cp = hooks.saved().into_iter().next().expect("checkpoint");
         assert!(cp.validate(&cfg, &[101]).is_ok());
 
         let mut other_cfg = cfg.clone();

@@ -1,5 +1,5 @@
-//! Island-model NSGA-II: N independent sub-populations with seeded
-//! ring migration and one final merged non-dominated front.
+//! The GA driver: island-model NSGA-II, with the single population as
+//! its one-island case.
 //!
 //! The island model parallelizes a GA without giving up determinism:
 //! the total population splits into N islands, each evolving its own
@@ -17,25 +17,29 @@
 //! configured total and every island runs the full generation count,
 //! so an N-island run performs exactly as many candidate evaluations
 //! as the single-population run it replaces. With `islands == 1` the
-//! model *is* the single-population run, bit for bit: island 0 keeps
-//! the master seed and migration never touches the stream.
+//! model *is* the single-population run: island 0 keeps the master
+//! seed, there is no barrier before the final generation, and nothing
+//! is exchanged or re-sorted. [`Nsga2::run`] is that case.
 //!
-//! Epoch checkpoints ([`IslandCheckpoint`]) snapshot every island
-//! right after a migration barrier; the per-island legs between
-//! barriers can additionally flush ordinary [`SearchCheckpoint`]s
-//! through [`IslandModel::run_island_to`]'s forwarding plan, so a
-//! killed run resumes mid-epoch without repeating completed work.
+//! [`IslandModel::run`] is the one loop every search goes through. It
+//! owns resume, the per-generation step ([`SearchCheckpoint`] is the
+//! state it steps), cadence saves, migration, the final merge and the
+//! claim-by-counter worker pool that runs island legs concurrently;
+//! callers observe and persist through [`SearchHooks`]. At one worker
+//! the legs run inline in island order — the serial reference every
+//! worker count reproduces bit for bit, because islands share nothing
+//! but the (pure) problem.
 
-use std::cell::RefCell;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::algorithm::{
-    CheckpointPlan, CheckpointSink, GenerationStats, Nsga2, NsgaConfig, NsgaResult,
-    SearchCheckpoint,
-};
+#[cfg(doc)]
+use crate::algorithm::Nsga2;
+use crate::algorithm::{GenerationStats, NsgaConfig, NsgaResult, SearchCheckpoint};
 use crate::individual::Individual;
 use crate::problem::IntProblem;
 use crate::sort::{assign_crowding, fast_non_dominated_sort};
@@ -100,9 +104,23 @@ pub struct IslandConfig {
 }
 
 impl IslandConfig {
+    /// The one-island topology over `nsga`: the plain single-population
+    /// run (no barrier before the final generation, so the cadence and
+    /// migrant count are never used).
+    #[must_use]
+    pub fn single(nsga: NsgaConfig) -> Self {
+        Self {
+            nsga,
+            islands: 1,
+            migration_every: DEFAULT_MIGRATION_EVERY,
+            migrants: DEFAULT_MIGRANTS,
+        }
+    }
+
     /// Check the topology is coherent: at least one island, at least
-    /// one generation, every island at least 2 individuals, a positive
-    /// migration cadence, and a migrant count every island can honor.
+    /// one generation, every island at least 2 individuals and, for an
+    /// archipelago, a positive migration cadence and a migrant count
+    /// every island can honor.
     ///
     /// # Errors
     ///
@@ -119,6 +137,9 @@ impl IslandConfig {
                 "population {} cannot split into {} islands of at least 2",
                 self.nsga.population, self.islands
             ));
+        }
+        if self.islands == 1 {
+            return Ok(());
         }
         let base = self.nsga.population / self.islands;
         if self.migration_every == 0 {
@@ -151,16 +172,22 @@ impl IslandConfig {
             .collect()
     }
 
-    /// The epoch barrier generations, in order: every multiple of
-    /// `migration_every` below the generation count, then the final
-    /// generation. Migration fires at every target except the last
-    /// (nothing evolves after the final generation, so a final
-    /// exchange would only scramble the merged front).
+    /// The epoch barrier generations, in order: for an archipelago
+    /// every multiple of `migration_every` below the generation count,
+    /// then (always) the final generation. Migration fires at every
+    /// target except the last (nothing evolves after the final
+    /// generation, so a final exchange would only scramble the merged
+    /// front); a single island has only the final one.
     #[must_use]
     pub fn epoch_targets(&self) -> Vec<usize> {
         let generations = self.nsga.generations;
+        let interior = if self.islands > 1 {
+            self.migration_every
+        } else {
+            generations
+        };
         let mut targets: Vec<usize> = (1..)
-            .map(|epoch| epoch * self.migration_every)
+            .map(|epoch| epoch * interior)
             .take_while(|&t| t < generations)
             .collect();
         targets.push(generations);
@@ -214,32 +241,86 @@ impl IslandCheckpoint {
     }
 }
 
-/// Destination for [`IslandCheckpoint`]s emitted at epoch barriers.
-/// Like [`CheckpointSink`], implementations handle failures internally.
-pub trait IslandCheckpointSink {
-    /// Persist one epoch snapshot.
-    fn save(&self, checkpoint: &IslandCheckpoint);
+/// Where [`IslandModel::run`] picks a search up. The default starts
+/// every island fresh.
+#[derive(Debug, Clone, Default)]
+pub struct Resume {
+    /// Per-island states in island order; a missing or `None` island
+    /// starts fresh from its seeds.
+    pub islands: Vec<Option<SearchCheckpoint>>,
+    /// The last barrier whose migration `islands` already include
+    /// (`0`: none). Barriers up to it are never replayed.
+    pub migrated_through: usize,
 }
 
-/// Capture-and-forward sink for one island leg: remembers the latest
-/// snapshot (the leg's return value) and optionally forwards every
-/// flush to the caller's durable sink.
-struct Tee<'a> {
-    last: RefCell<Option<SearchCheckpoint>>,
-    forward: Option<&'a dyn CheckpointSink>,
-}
-
-impl CheckpointSink for Tee<'_> {
-    fn save(&self, checkpoint: &SearchCheckpoint) {
-        if let Some(sink) = self.forward {
-            sink.save(checkpoint);
+impl From<IslandCheckpoint> for Resume {
+    fn from(checkpoint: IslandCheckpoint) -> Self {
+        Self {
+            islands: checkpoint.islands.into_iter().map(Some).collect(),
+            migrated_through: checkpoint.generation,
         }
-        *self.last.borrow_mut() = Some(checkpoint.clone());
     }
 }
 
-/// The island-model runner. See the [module docs](self) for the
-/// topology and determinism contract.
+/// The caller's side of [`IslandModel::run`]: progress, cancellation
+/// and persistence. Every method defaults to a no-op, so `&()` runs a
+/// bare search. Legs of different islands call in concurrently when
+/// the run has more than one worker.
+pub trait SearchHooks: Sync {
+    /// Cadence of [`save`](Self::save) in completed generations (`0`:
+    /// leg ends and stops only).
+    fn checkpoint_every(&self) -> usize {
+        0
+    }
+
+    /// Island `island` completed a generation; `state` is its state
+    /// right after it (the last `history` entry is the generation's
+    /// stats). Returning `false` stops the run after this generation
+    /// (cooperative cancellation): up to that point it is bit-identical
+    /// to an unstopped one.
+    fn generation(&self, _island: usize, _state: &SearchCheckpoint) -> bool {
+        true
+    }
+
+    /// Persist island `island`'s state. Called after every
+    /// [`checkpoint_every`](Self::checkpoint_every)-th generation, at
+    /// the end of each of the island's legs (a barrier or the final
+    /// generation) and when the island stops; always after the
+    /// generation's [`generation`](Self::generation) call.
+    fn save(&self, _island: usize, _state: &SearchCheckpoint) {}
+
+    /// An archipelago (≥ 2 islands) reached a barrier: `checkpoint`
+    /// holds every island's state there — after the exchange when
+    /// `migrated`, which is every barrier but the final generation's.
+    /// Never called for a single island, nor once the run stopped.
+    fn barrier(&self, _checkpoint: &IslandCheckpoint, _migrated: bool) {}
+}
+
+impl SearchHooks for () {}
+
+/// Run `task(0..n)` over `workers` threads that claim indices from one
+/// atomic counter; one worker runs them inline, in order.
+fn for_each_claimed(n: usize, workers: usize, task: impl Fn(usize) + Sync) {
+    if workers <= 1 {
+        (0..n).for_each(task);
+        return;
+    }
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..workers.min(n) {
+            scope.spawn(|| loop {
+                let index = next.fetch_add(1, Ordering::SeqCst);
+                if index >= n {
+                    break;
+                }
+                task(index);
+            });
+        }
+    });
+}
+
+/// The GA driver. See the [module docs](self) for the topology and
+/// determinism contract.
 #[derive(Debug, Clone)]
 pub struct IslandModel {
     config: IslandConfig,
@@ -274,55 +355,162 @@ impl IslandModel {
         &self.islands
     }
 
-    /// Advance one island to `target` completed generations and return
-    /// its state there (or earlier, if `observer` stops the leg).
+    /// Evolve every island epoch by epoch — migrating at each interior
+    /// barrier — and merge the final states. Returns the merged result
+    /// and the islands' recorded histories concatenated in island
+    /// order (a pure function of the deterministic streams, never the
+    /// live interleave).
     ///
-    /// `state` is the island's current snapshot (`None` starts fresh
-    /// with `seeds`); a state already at or past `target` is returned
-    /// unchanged. When `forward` is set, its sink receives every
-    /// cadence flush *and* the leg's final state — that is how the
-    /// pipeline keeps per-island files durable between epoch barriers.
+    /// `problems` holds one problem per island (they may share caches:
+    /// [`IntProblem::evaluate`] is pure). `seeds` are dealt round-robin
+    /// (seed `j` joins island `j mod N`), so doped initialization
+    /// spreads over the archipelago. `resume` continues from saved
+    /// states. Up to `workers` island legs run concurrently; the
+    /// result is the same at any worker count. A stop requested by
+    /// [`SearchHooks::generation`] ends that island's leg after the
+    /// generation; legs not yet started are skipped, the run ends
+    /// before the next barrier, and whatever states exist merge.
     ///
     /// # Panics
     ///
-    /// Panics as [`Nsga2::run_checkpointed`] does (bad seeds, a state
-    /// that fails validation against this island's configuration).
-    // The leg is fully described by these eight values; a parameter
-    // struct would only re-group them one call level up.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_island_to<P: IntProblem>(
+    /// Panics if `problems` does not hold one problem per island, a
+    /// seed genome has the wrong length, or a resume state fails
+    /// [`SearchCheckpoint::validate`] or lags behind
+    /// `resume.migrated_through`.
+    pub fn run<P: IntProblem + Sync>(
         &self,
-        island: usize,
-        problem: &P,
+        problems: &[P],
         seeds: Vec<Vec<u32>>,
-        state: Option<SearchCheckpoint>,
-        target: usize,
-        forward: Option<CheckpointPlan<'_>>,
-        observer: &mut dyn FnMut(&GenerationStats) -> bool,
-    ) -> SearchCheckpoint {
-        if let Some(st) = state.as_ref() {
-            if st.generation >= target {
-                return state.expect("checked above");
+        resume: Resume,
+        workers: usize,
+        hooks: &dyn SearchHooks,
+    ) -> (NsgaResult, Vec<GenerationStats>) {
+        let n = self.islands.len();
+        assert_eq!(problems.len(), n, "one problem per island");
+        let mut island_seeds: Vec<Vec<Vec<u32>>> = vec![Vec::new(); n];
+        for (index, genome) in seeds.into_iter().enumerate() {
+            island_seeds[index % n].push(genome);
+        }
+        let Resume {
+            islands: mut states,
+            migrated_through,
+        } = resume;
+        assert!(
+            states.len() <= n,
+            "resume holds more islands than the model"
+        );
+        states.resize_with(n, || None);
+        for (island, slot) in states.iter_mut().enumerate() {
+            let Some(state) = slot else {
+                assert_eq!(
+                    migrated_through, 0,
+                    "island {island} missing past a barrier"
+                );
+                continue;
+            };
+            state
+                .validate(&self.islands[island], problems[island].bounds())
+                .unwrap_or_else(|reason| panic!("invalid checkpoint of island {island}: {reason}"));
+            assert!(
+                state.generation >= migrated_through,
+                "island {island} lags behind barrier {migrated_through}"
+            );
+            // A front-boundary point's +∞ crowding renders as JSON null
+            // and deserializes as NaN; map it back so the restored
+            // annotations equal the snapshot's exactly.
+            for ind in &mut state.population {
+                if ind.crowding.is_nan() {
+                    ind.crowding = f64::INFINITY;
+                }
             }
         }
-        let tee = Tee {
-            last: RefCell::new(None),
-            forward: forward.as_ref().map(|plan| plan.sink),
-        };
-        let plan = CheckpointPlan {
-            every: forward.map_or(0, |plan| plan.every),
-            sink: &tee,
-        };
-        let _ = Nsga2::new(self.islands[island].clone()).run_checkpointed(
-            problem,
-            seeds,
-            state,
-            Some(plan),
-            |stats| observer(stats) && stats.generation + 1 < target,
-        );
-        tee.last
-            .into_inner()
-            .expect("an epoch leg always flushes its final state")
+
+        // One cell per island: its state (built by the first leg that
+        // claims it) and its not-yet-consumed seeds.
+        type Cell = Mutex<(Option<SearchCheckpoint>, Vec<Vec<u32>>)>;
+        let mut cells: Vec<Cell> = states
+            .into_iter()
+            .zip(island_seeds)
+            .map(Mutex::new)
+            .collect();
+        let stopped = AtomicBool::new(false);
+        for target in self.config.epoch_targets() {
+            if target <= migrated_through {
+                continue;
+            }
+            for_each_claimed(n, workers, |island| {
+                if stopped.load(Ordering::SeqCst) {
+                    return;
+                }
+                let mut cell = cells[island].lock().unwrap_or_else(PoisonError::into_inner);
+                let (state, seeds) = &mut *cell;
+                let problem = &problems[island];
+                let state = state.get_or_insert_with(|| {
+                    SearchCheckpoint::initial(&self.islands[island], problem, std::mem::take(seeds))
+                });
+                if !Self::leg(island, problem, state, target, hooks) {
+                    stopped.store(true, Ordering::SeqCst);
+                }
+            });
+            if stopped.load(Ordering::SeqCst) {
+                break;
+            }
+            if n > 1 {
+                let mut barrier = IslandCheckpoint {
+                    generation: target,
+                    islands: cells
+                        .iter_mut()
+                        .map(|cell| {
+                            let cell = cell.get_mut().unwrap_or_else(PoisonError::into_inner);
+                            cell.0.take().expect("every island reached the barrier")
+                        })
+                        .collect(),
+                };
+                let migrated = target < self.config.nsga.generations;
+                if migrated {
+                    self.migrate(&mut barrier.islands);
+                }
+                hooks.barrier(&barrier, migrated);
+                for (cell, state) in cells.iter_mut().zip(barrier.islands) {
+                    cell.get_mut().unwrap_or_else(PoisonError::into_inner).0 = Some(state);
+                }
+            }
+        }
+
+        let mut finals: Vec<SearchCheckpoint> = cells
+            .into_iter()
+            .filter_map(|cell| cell.into_inner().unwrap_or_else(PoisonError::into_inner).0)
+            .collect();
+        let history = finals
+            .iter_mut()
+            .flat_map(|state| std::mem::take(&mut state.history))
+            .collect();
+        (self.merge(finals), history)
+    }
+
+    /// Advance one island to `target` completed generations, calling
+    /// the hooks after every generation. Returns `false` when the
+    /// hooks stopped it.
+    fn leg<P: IntProblem>(
+        island: usize,
+        problem: &P,
+        state: &mut SearchCheckpoint,
+        target: usize,
+        hooks: &dyn SearchHooks,
+    ) -> bool {
+        let every = hooks.checkpoint_every();
+        while state.generation < target {
+            state.step(problem);
+            let keep = hooks.generation(island, state);
+            let due = state.generation.is_multiple_of(every);
+            if due || !keep || state.generation == target {
+                hooks.save(island, state);
+            }
+            if !keep {
+                return false;
+            }
+        }
+        true
     }
 
     /// One deterministic ring-migration epoch over the island states,
@@ -338,12 +526,11 @@ impl IslandModel {
     ///    and if no dominated members remain the rest of the batch is
     ///    dropped. Receivers re-annotate ranks and crowding.
     ///
-    /// A single island (or `migrants == 0`) is a strict no-op: the RNG
-    /// streams are not touched, keeping the one-island model
-    /// bit-identical to the plain run.
-    pub fn migrate(&self, states: &mut [SearchCheckpoint]) {
+    /// A single island is a strict no-op: the RNG stream is not
+    /// touched.
+    fn migrate(&self, states: &mut [SearchCheckpoint]) {
         let n = states.len();
-        if n < 2 || self.config.migrants == 0 {
+        if n < 2 {
             return;
         }
         // Phase 1: seeded emigrant selection, island order.
@@ -407,158 +594,37 @@ impl IslandModel {
     /// untouched — its stored (μ+λ)-pool annotations are exactly what
     /// the plain run reports, and re-sorting the μ survivors alone
     /// could not reproduce them.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty state slice.
-    #[must_use]
-    pub fn merge(&self, states: &[SearchCheckpoint]) -> NsgaResult {
-        assert!(!states.is_empty(), "merge needs at least one island");
-        if states.len() == 1 {
-            let state = &states[0];
-            let pareto_front: Vec<Individual> = state
-                .population
-                .iter()
-                .filter(|ind| ind.rank == 0)
-                .cloned()
-                .collect();
-            return NsgaResult {
-                population: state.population.clone(),
-                pareto_front,
-                evaluations: state.evaluations,
-                generations: state.generation,
-            };
-        }
-        let mut population: Vec<Individual> = states
+    fn merge(&self, mut states: Vec<SearchCheckpoint>) -> NsgaResult {
+        let evaluations = states.iter().map(|state| state.evaluations).sum();
+        let generations = states
             .iter()
-            .flat_map(|state| state.population.iter().cloned())
-            .collect();
-        let fronts = fast_non_dominated_sort(&mut population);
-        for front in &fronts {
-            assign_crowding(&mut population, front);
-        }
+            .map(|state| state.generation)
+            .max()
+            .unwrap_or(0);
+        let population: Vec<Individual> = if states.len() == 1 {
+            states.pop().expect("one island").population
+        } else {
+            let mut union: Vec<Individual> = states
+                .into_iter()
+                .flat_map(|state| state.population)
+                .collect();
+            let fronts = fast_non_dominated_sort(&mut union);
+            for front in &fronts {
+                assign_crowding(&mut union, front);
+            }
+            union
+        };
         let pareto_front: Vec<Individual> = population
             .iter()
             .filter(|ind| ind.rank == 0)
             .cloned()
             .collect();
         NsgaResult {
-            evaluations: states.iter().map(|state| state.evaluations).sum(),
-            generations: states
-                .iter()
-                .map(|state| state.generation)
-                .max()
-                .unwrap_or(0),
             population,
             pareto_front,
+            evaluations,
+            generations,
         }
-    }
-
-    /// The serial reference driver: run every island epoch by epoch
-    /// with migration at each interior barrier, then merge.
-    ///
-    /// `seeds` are dealt round-robin (seed `j` joins island `j mod N`),
-    /// so doped initialization spreads over the archipelago. `resume`
-    /// continues from an epoch snapshot — post-migration by contract,
-    /// so the barrier it names is never re-migrated. `epoch_sink`
-    /// receives one [`IslandCheckpoint`] per completed barrier
-    /// (including the final generation). The observer sees every
-    /// executed generation tagged with its island index and may stop
-    /// the run cooperatively, exactly like
-    /// [`Nsga2::run_controlled`]'s observer.
-    ///
-    /// Parallel callers schedule the same epoch legs over threads via
-    /// [`run_island_to`](Self::run_island_to) /
-    /// [`migrate`](Self::migrate) / [`merge`](Self::merge); this
-    /// serial composition is the behavioral reference they must match
-    /// bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `resume` fails [`IslandCheckpoint::validate`], or as
-    /// [`Nsga2::run_checkpointed`] does.
-    pub fn run<P: IntProblem, F: FnMut(usize, &GenerationStats) -> bool>(
-        &self,
-        problem: &P,
-        seeds: Vec<Vec<u32>>,
-        resume: Option<IslandCheckpoint>,
-        epoch_sink: Option<&dyn IslandCheckpointSink>,
-        mut observer: F,
-    ) -> NsgaResult {
-        let n = self.islands.len();
-        let mut island_seeds: Vec<Vec<Vec<u32>>> = (0..n).map(|_| Vec::new()).collect();
-        for (index, genome) in seeds.into_iter().enumerate() {
-            island_seeds[index % n].push(genome);
-        }
-
-        let mut migrated_through = 0;
-        let mut states: Vec<Option<SearchCheckpoint>> = (0..n).map(|_| None).collect();
-        if let Some(checkpoint) = resume {
-            checkpoint
-                .validate(&self.config, problem.bounds())
-                .unwrap_or_else(|reason| panic!("invalid island checkpoint: {reason}"));
-            migrated_through = checkpoint.generation;
-            states = checkpoint.islands.into_iter().map(Some).collect();
-        }
-
-        let mut stopped = false;
-        for target in self.config.epoch_targets() {
-            if target <= migrated_through {
-                continue;
-            }
-            for island in 0..n {
-                let state = states[island].take();
-                let leg_seeds = std::mem::take(&mut island_seeds[island]);
-                let mut cancelled = false;
-                let state = self.run_island_to(
-                    island,
-                    problem,
-                    leg_seeds,
-                    state,
-                    target,
-                    None,
-                    &mut |stats| {
-                        let keep = observer(island, stats);
-                        cancelled |= !keep;
-                        keep
-                    },
-                );
-                states[island] = Some(state);
-                if cancelled {
-                    stopped = true;
-                    break;
-                }
-            }
-            if stopped {
-                break;
-            }
-            if target < self.config.nsga.generations {
-                let mut barrier: Vec<SearchCheckpoint> = states
-                    .iter_mut()
-                    .map(|slot| slot.take().expect("every island reached the barrier"))
-                    .collect();
-                self.migrate(&mut barrier);
-                migrated_through = target;
-                for (slot, state) in states.iter_mut().zip(barrier) {
-                    *slot = Some(state);
-                }
-            }
-            if let Some(sink) = epoch_sink {
-                sink.save(&IslandCheckpoint {
-                    generation: target,
-                    islands: states
-                        .iter()
-                        .map(|slot| slot.clone().expect("every island reached the barrier"))
-                        .collect(),
-                });
-            }
-        }
-
-        // A cooperative stop can leave later islands of the first
-        // epoch unstarted; a cancelled run merges whatever exists
-        // (uncancelled runs always hold all N states).
-        let finals: Vec<SearchCheckpoint> = states.into_iter().flatten().collect();
-        self.merge(&finals)
     }
 }
 
@@ -569,6 +635,7 @@ mod tests {
 
     /// Minimize (x - 30)² and (x - 70)² over a single gene — the same
     /// trade-off the algorithm tests use, big enough fronts to migrate.
+    #[derive(Clone)]
     struct TwoHumps;
 
     impl IntProblem for TwoHumps {
@@ -658,21 +725,49 @@ mod tests {
         assert_eq!(one_epoch.epoch_targets(), [10]);
     }
 
+    /// A run over one problem per island at the given worker count.
+    fn run(
+        model: &IslandModel,
+        seeds: Vec<Vec<u32>>,
+        resume: Resume,
+        workers: usize,
+        hooks: &dyn SearchHooks,
+    ) -> NsgaResult {
+        let problems = vec![TwoHumps; model.config().islands];
+        model.run(&problems, seeds, resume, workers, hooks).0
+    }
+
     #[test]
     fn one_island_is_the_plain_run_bit_for_bit() {
+        // The plain loop by hand: seed the population, step it through
+        // every generation, report the survivors.
         let cfg = config(1);
-        let plain = Nsga2::new(cfg.nsga.clone()).run(&TwoHumps);
-        let merged = IslandModel::new(cfg).run(&TwoHumps, Vec::new(), None, None, |_, _| true);
-        assert_eq!(merged, plain);
+        let mut state = SearchCheckpoint::initial(&cfg.nsga, &TwoHumps, Vec::new());
+        for _ in 0..cfg.nsga.generations {
+            state.step(&TwoHumps);
+        }
+        let merged = run(
+            &IslandModel::new(cfg),
+            Vec::new(),
+            Resume::default(),
+            1,
+            &(),
+        );
+        assert_eq!(merged.population, state.population);
+        assert_eq!(merged.evaluations, state.evaluations);
+        assert_eq!(merged.generations, state.generation);
+        assert!(merged.pareto_front.iter().all(|ind| ind.rank == 0));
     }
 
     #[test]
     fn runs_are_deterministic_and_budget_conserving() {
         let cfg = config(3);
         let model = IslandModel::new(cfg.clone());
-        let a = model.run(&TwoHumps, Vec::new(), None, None, |_, _| true);
-        let b = model.run(&TwoHumps, Vec::new(), None, None, |_, _| true);
-        assert_eq!(a, b);
+        let a = run(&model, Vec::new(), Resume::default(), 1, &());
+        for workers in [1, 3] {
+            let b = run(&model, Vec::new(), Resume::default(), workers, &());
+            assert_eq!(a, b, "{workers} workers");
+        }
         // Same budget as the single-population run: init + G waves
         // over the total population.
         let expected = (cfg.nsga.generations as u64 + 1) * cfg.nsga.population as u64;
@@ -687,19 +782,15 @@ mod tests {
         let cfg = config(3);
         let model = IslandModel::new(cfg.clone());
         // Drive every island to the first barrier by hand.
-        let mut states: Vec<SearchCheckpoint> = (0..cfg.islands)
-            .map(|island| {
-                model.run_island_to(
-                    island,
-                    &TwoHumps,
-                    Vec::new(),
-                    None,
-                    cfg.migration_every,
-                    None,
-                    &mut |_| true,
-                )
-            })
-            .collect();
+        let to_barrier = |nsga: &NsgaConfig| {
+            let mut state = SearchCheckpoint::initial(nsga, &TwoHumps, Vec::new());
+            while state.generation < cfg.migration_every {
+                state.step(&TwoHumps);
+            }
+            state
+        };
+        let mut states: Vec<SearchCheckpoint> =
+            model.island_configs().iter().map(to_barrier).collect();
         let before: Vec<[u64; 4]> = states.iter().map(|s| s.rng_state).collect();
         model.migrate(&mut states);
         let checkpoint = IslandCheckpoint {
@@ -715,20 +806,20 @@ mod tests {
         }
         // …and a single island consumes nothing at all.
         let solo = IslandModel::new(config(1));
-        let mut one =
-            vec![solo.run_island_to(0, &TwoHumps, Vec::new(), None, 3, None, &mut |_| true)];
+        let mut one = vec![to_barrier(&solo.island_configs()[0])];
         let old = one[0].rng_state;
         solo.migrate(&mut one);
         assert_eq!(one[0].rng_state, old);
     }
 
-    /// Epoch sink capturing every barrier snapshot in order.
+    /// Hooks capturing every barrier snapshot in order.
     #[derive(Default)]
-    struct CaptureEpochs(RefCell<Vec<IslandCheckpoint>>);
+    struct CaptureEpochs(Mutex<Vec<IslandCheckpoint>>);
 
-    impl IslandCheckpointSink for CaptureEpochs {
-        fn save(&self, checkpoint: &IslandCheckpoint) {
-            self.0.borrow_mut().push(checkpoint.clone());
+    impl SearchHooks for CaptureEpochs {
+        fn barrier(&self, checkpoint: &IslandCheckpoint, migrated: bool) {
+            assert_eq!(migrated, checkpoint.generation < 10);
+            self.0.lock().expect("unpoisoned").push(checkpoint.clone());
         }
     }
 
@@ -736,9 +827,9 @@ mod tests {
     fn resume_from_every_epoch_checkpoint_matches_the_uninterrupted_run() {
         let cfg = config(3);
         let model = IslandModel::new(cfg.clone());
-        let sink = CaptureEpochs::default();
-        let baseline = model.run(&TwoHumps, Vec::new(), None, Some(&sink), |_, _| true);
-        let epochs = sink.0.into_inner();
+        let hooks = CaptureEpochs::default();
+        let baseline = run(&model, Vec::new(), Resume::default(), 1, &hooks);
+        let epochs = hooks.0.into_inner().expect("unpoisoned");
         assert_eq!(
             epochs.iter().map(|e| e.generation).collect::<Vec<_>>(),
             cfg.epoch_targets()
@@ -750,8 +841,26 @@ mod tests {
             restored
                 .validate(&cfg, TwoHumps.bounds())
                 .expect("round-tripped epoch is valid");
-            let resumed = model.run(&TwoHumps, Vec::new(), Some(restored), None, |_, _| true);
+            let resumed = run(&model, Vec::new(), restored.into(), 2, &());
             assert_eq!(resumed, baseline);
+        }
+    }
+
+    /// Hooks recording `(island, generation index)` pairs and stopping
+    /// when `stop` says so.
+    struct Record<F> {
+        seen: Mutex<Vec<(usize, usize)>>,
+        stop: F,
+    }
+
+    impl<F: Fn(usize, usize) -> bool + Sync> SearchHooks for Record<F> {
+        fn generation(&self, island: usize, state: &SearchCheckpoint) -> bool {
+            let generation = state.generation - 1;
+            self.seen
+                .lock()
+                .expect("unpoisoned")
+                .push((island, generation));
+            !(self.stop)(island, generation)
         }
     }
 
@@ -759,13 +868,21 @@ mod tests {
     fn observer_tags_islands_and_can_stop_the_run() {
         let cfg = config(2);
         let model = IslandModel::new(cfg.clone());
-        let mut seen: Vec<(usize, usize)> = Vec::new();
-        let full = model.run(&TwoHumps, Vec::new(), None, None, |island, stats| {
-            seen.push((island, stats.generation));
-            true
-        });
-        assert_eq!(full.generations, cfg.nsga.generations);
-        // Every island reports every generation exactly once.
+        let full = Record {
+            seen: Mutex::default(),
+            stop: |_, _| false,
+        };
+        let (result, history) = model.run(
+            &[TwoHumps, TwoHumps],
+            Vec::new(),
+            Resume::default(),
+            1,
+            &full,
+        );
+        assert_eq!(result.generations, cfg.nsga.generations);
+        // Every island reports every generation exactly once, and the
+        // history holds both islands' logs in island order.
+        let seen = full.seen.into_inner().expect("unpoisoned");
         for island in 0..cfg.islands {
             let gens: Vec<usize> = seen
                 .iter()
@@ -774,11 +891,23 @@ mod tests {
                 .collect();
             assert_eq!(gens, (0..cfg.nsga.generations).collect::<Vec<_>>());
         }
-        // A stop inside the first epoch ends the run early.
-        let stopped = model.run(&TwoHumps, Vec::new(), None, None, |island, stats| {
-            !(island == 0 && stats.generation == 1)
-        });
-        assert!(stopped.generations < cfg.nsga.generations);
+        let logged: Vec<usize> = history.iter().map(|s| s.generation).collect();
+        assert_eq!(
+            logged,
+            [(0..10).collect::<Vec<_>>(), (0..10).collect()].concat()
+        );
+        // A stop inside the first epoch ends the run early, before the
+        // second island starts.
+        let stopping = Record {
+            seen: Mutex::default(),
+            stop: |island, generation| island == 0 && generation == 1,
+        };
+        let stopped = run(&model, Vec::new(), Resume::default(), 1, &stopping);
+        assert_eq!(stopped.generations, 2);
+        assert_eq!(
+            stopping.seen.into_inner().expect("unpoisoned"),
+            [(0, 0), (0, 1)]
+        );
     }
 
     #[test]
@@ -798,8 +927,13 @@ mod tests {
         };
         // One strong seed per island: gene 0 minimizes objective 0, so
         // both must survive their island's elitist selection.
-        let merged =
-            IslandModel::new(cfg).run(&TwoHumps, vec![vec![30], vec![30]], None, None, |_, _| true);
+        let merged = run(
+            &IslandModel::new(cfg),
+            vec![vec![30], vec![30]],
+            Resume::default(),
+            1,
+            &(),
+        );
         assert!(merged.population.iter().filter(|i| i.genes == [30]).count() >= 2);
     }
 }

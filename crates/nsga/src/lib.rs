@@ -11,7 +11,9 @@
 //! * fast non-dominated sorting + crowding distance ([`sort`]),
 //! * uniform / one-point crossover and reset mutation ([`operators`]),
 //! * an elitist (μ+λ) main loop with seed-population injection for the
-//!   paper's doped initialization ([`Nsga2::run_seeded`]).
+//!   paper's doped initialization, run by one driver
+//!   ([`IslandModel::run`]) whose one-island case is [`Nsga2::run`] and
+//!   whose archipelagos migrate elites around a ring ([`island`]).
 //!
 //! Everything is deterministic in the configured seed.
 //!
@@ -44,13 +46,10 @@ pub mod operators;
 pub mod problem;
 pub mod sort;
 
-pub use algorithm::{
-    CheckpointPlan, CheckpointSink, GenerationStats, Nsga2, NsgaConfig, NsgaResult,
-    SearchCheckpoint,
-};
+pub use algorithm::{GenerationStats, Nsga2, NsgaConfig, NsgaResult, SearchCheckpoint};
 pub use individual::Individual;
 pub use island::{
-    island_seed, IslandCheckpoint, IslandCheckpointSink, IslandConfig, IslandModel,
+    island_seed, IslandCheckpoint, IslandConfig, IslandModel, Resume, SearchHooks,
     DEFAULT_MIGRANTS, DEFAULT_MIGRATION_EVERY,
 };
 pub use operators::{crossover, mutate, random_genome, CrossoverKind};

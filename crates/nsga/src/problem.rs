@@ -65,9 +65,10 @@ pub trait IntProblem {
     /// The default implementation is a plain serial loop over
     /// [`evaluate`](Self::evaluate); implementations with a faster
     /// bulk path (thread-pool fan-out, memoization, vectorized
-    /// inference) override it. [`Nsga2`](crate::Nsga2) funnels the
-    /// initial population and every offspring wave through this single
-    /// entry point, so an override accelerates the whole run.
+    /// inference) override it. The GA driver
+    /// ([`IslandModel::run`](crate::IslandModel::run)) funnels every
+    /// initial population and offspring wave through this single entry
+    /// point, so an override accelerates the whole run.
     fn evaluate_batch(&self, genomes: &[Vec<u32>]) -> Vec<Evaluation> {
         genomes.iter().map(|g| self.evaluate(g)).collect()
     }

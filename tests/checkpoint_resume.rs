@@ -4,14 +4,14 @@
 //! many evaluation workers the batch path uses (the thread budget a
 //! resumed process runs under need not match the crashed one's).
 
-use std::cell::RefCell;
+use std::sync::Mutex;
 
 use proptest::prelude::*;
 
 use printed_mlps::axc::CachedEvaluator;
 use printed_mlps::nsga::{
-    CheckpointPlan, CheckpointSink, Evaluation, IntProblem, Nsga2, NsgaConfig, NsgaResult,
-    SearchCheckpoint,
+    Evaluation, IntProblem, IslandCheckpoint, IslandConfig, IslandModel, NsgaConfig, NsgaResult,
+    Resume, SearchCheckpoint, SearchHooks,
 };
 
 /// A deterministic two-objective toy problem with a genuine trade-off
@@ -40,52 +40,80 @@ impl IntProblem for Ridge {
     }
 }
 
-/// In-memory sink capturing every snapshot in emission order.
+/// Hooks capturing every saved snapshot (cadence 1: after every
+/// generation) and every archipelago barrier, in emission order.
 #[derive(Default)]
-struct Capture(RefCell<Vec<SearchCheckpoint>>);
+struct Capture {
+    saved: Mutex<Vec<SearchCheckpoint>>,
+    barriers: Mutex<Vec<IslandCheckpoint>>,
+}
 
-impl CheckpointSink for Capture {
-    fn save(&self, checkpoint: &SearchCheckpoint) {
-        self.0.borrow_mut().push(checkpoint.clone());
+impl SearchHooks for Capture {
+    fn checkpoint_every(&self) -> usize {
+        1
+    }
+    fn save(&self, _island: usize, state: &SearchCheckpoint) {
+        self.saved.lock().expect("unpoisoned").push(state.clone());
+    }
+    fn barrier(&self, checkpoint: &IslandCheckpoint, _migrated: bool) {
+        self.barriers
+            .lock()
+            .expect("unpoisoned")
+            .push(checkpoint.clone());
     }
 }
 
-/// One full run at the given worker count, capturing a checkpoint
-/// after every generation (`every == 1` maximizes resume coverage).
+/// The GA driver over `config` with one batched evaluator per island
+/// at the given worker count.
+fn drive(
+    config: &IslandConfig,
+    resume: Resume,
+    threads: usize,
+    hooks: &dyn SearchHooks,
+) -> NsgaResult {
+    let problems: Vec<_> = (0..config.islands)
+        .map(|_| {
+            CachedEvaluator::with_options(
+                Ridge {
+                    bounds: vec![48; 5],
+                },
+                256,
+                threads,
+            )
+        })
+        .collect();
+    IslandModel::new(config.clone())
+        .run(&problems, Vec::new(), resume, 1, hooks)
+        .0
+}
+
+/// One full single-population run at the given worker count,
+/// capturing a checkpoint after every generation (`every == 1`
+/// maximizes resume coverage).
 fn run_capturing(cfg: &NsgaConfig, threads: usize) -> (NsgaResult, Vec<SearchCheckpoint>) {
-    let problem = CachedEvaluator::with_options(
-        Ridge {
-            bounds: vec![48; 5],
-        },
-        256,
+    let hooks = Capture::default();
+    let result = drive(
+        &IslandConfig::single(cfg.clone()),
+        Resume::default(),
         threads,
+        &hooks,
     );
-    let sink = Capture::default();
-    let plan = CheckpointPlan {
-        every: 1,
-        sink: &sink,
-    };
-    let result =
-        Nsga2::new(cfg.clone()).run_checkpointed(&problem, Vec::new(), None, Some(plan), |_| true);
-    (result, sink.0.into_inner())
+    (result, hooks.saved.into_inner().expect("unpoisoned"))
 }
 
 /// Resume from `checkpoint` (after a persistence round-trip through
 /// JSON, like the pipeline's on-disk file) at the given worker count.
 fn resume(cfg: &NsgaConfig, checkpoint: &SearchCheckpoint, threads: usize) -> NsgaResult {
-    let problem = CachedEvaluator::with_options(
-        Ridge {
-            bounds: vec![48; 5],
-        },
-        256,
-        threads,
-    );
     let json = serde_json::to_string(checkpoint).expect("checkpoint serializes");
     let restored: SearchCheckpoint = serde_json::from_str(&json).expect("checkpoint parses");
     restored
-        .validate(cfg, problem.bounds())
+        .validate(cfg, &[48; 5])
         .expect("round-tripped checkpoint is valid");
-    Nsga2::new(cfg.clone()).run_checkpointed(&problem, Vec::new(), Some(restored), None, |_| true)
+    let resume = Resume {
+        islands: vec![Some(restored)],
+        migrated_through: 0,
+    };
+    drive(&IslandConfig::single(cfg.clone()), resume, threads, &())
 }
 
 proptest! {
@@ -129,22 +157,11 @@ proptest! {
 
 /// The island extension of the same crash-safety property: an
 /// archipelago's epoch checkpoints (the post-migration barrier
-/// snapshots [`printed_mlps::nsga::IslandModel::run`] flushes) resume
-/// to the uninterrupted merged result bit for bit, and the exchange a
+/// snapshots the driver hands to [`SearchHooks::barrier`]) resume to
+/// the uninterrupted merged result bit for bit, and the exchange a
 /// checkpoint already recorded is never replayed on resume.
 #[test]
 fn island_epoch_checkpoints_resume_bit_exactly() {
-    use printed_mlps::nsga::{IslandCheckpoint, IslandCheckpointSink, IslandConfig, IslandModel};
-
-    #[derive(Default)]
-    struct EpochCapture(RefCell<Vec<IslandCheckpoint>>);
-
-    impl IslandCheckpointSink for EpochCapture {
-        fn save(&self, checkpoint: &IslandCheckpoint) {
-            self.0.borrow_mut().push(checkpoint.clone());
-        }
-    }
-
     let config = IslandConfig {
         nsga: NsgaConfig {
             population: 12,
@@ -156,19 +173,9 @@ fn island_epoch_checkpoints_resume_bit_exactly() {
         migration_every: 2,
         migrants: 1,
     };
-    let problem = || {
-        CachedEvaluator::with_options(
-            Ridge {
-                bounds: vec![48; 5],
-            },
-            256,
-            1,
-        )
-    };
-    let model = IslandModel::new(config.clone());
-    let sink = EpochCapture::default();
-    let reference = model.run(&problem(), Vec::new(), None, Some(&sink), |_, _| true);
-    let checkpoints = sink.0.into_inner();
+    let hooks = Capture::default();
+    let reference = drive(&config, Resume::default(), 1, &hooks);
+    let checkpoints = hooks.barriers.into_inner().expect("unpoisoned");
     // One barrier per epoch target: generations 2, 4, 6 and the final 7.
     assert_eq!(checkpoints.len(), config.epoch_targets().len());
 
@@ -179,7 +186,7 @@ fn island_epoch_checkpoints_resume_bit_exactly() {
         restored
             .validate(&config, &[48; 5])
             .expect("round-tripped island checkpoint is valid");
-        let resumed = model.run(&problem(), Vec::new(), Some(restored), None, |_, _| true);
+        let resumed = drive(&config, restored.into(), 1, &());
         assert_eq!(resumed, reference);
     }
 }

@@ -1,15 +1,15 @@
 //! Island-model search acceptance contract:
 //!
-//! * `islands(1)` (or unset) keeps the single-population engine and
-//!   its artifacts byte for byte — the default path is untouched;
+//! * `islands(1)` (or unset) keeps the single population's engine
+//!   name and its artifacts byte for byte;
 //! * an archipelago's merged front and full `Selected` artifact are
 //!   byte-identical at any evaluator worker budget;
 //! * resuming an island run from any persisted epoch checkpoint
 //!   reproduces the uninterrupted run bit-exactly, across crash/resume
-//!   thread-budget combinations (the `IslandModel` property mirror of
-//!   `checkpoint_resume.rs`).
+//!   thread-budget and worker-count combinations (the `IslandModel`
+//!   property mirror of `checkpoint_resume.rs`).
 
-use std::cell::RefCell;
+use std::sync::Mutex;
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -17,8 +17,8 @@ use proptest::prelude::*;
 use printed_mlps::axc::{AxTrainConfig, CachedEvaluator, Selected, Study, StudyConfig};
 use printed_mlps::datasets::Dataset;
 use printed_mlps::nsga::{
-    Evaluation, IntProblem, IslandCheckpoint, IslandCheckpointSink, IslandConfig, IslandModel,
-    NsgaConfig, NsgaResult,
+    Evaluation, IntProblem, IslandCheckpoint, IslandConfig, IslandModel, NsgaConfig, NsgaResult,
+    Resume, SearchHooks,
 };
 
 /// A small-but-real GA budget: large enough that islands migrate
@@ -133,13 +133,13 @@ impl IntProblem for Ridge {
     }
 }
 
-/// In-memory sink capturing every epoch snapshot in emission order.
+/// Hooks capturing every barrier snapshot in emission order.
 #[derive(Default)]
-struct Capture(RefCell<Vec<IslandCheckpoint>>);
+struct Capture(Mutex<Vec<IslandCheckpoint>>);
 
-impl IslandCheckpointSink for Capture {
-    fn save(&self, checkpoint: &IslandCheckpoint) {
-        self.0.borrow_mut().push(checkpoint.clone());
+impl SearchHooks for Capture {
+    fn barrier(&self, checkpoint: &IslandCheckpoint, _migrated: bool) {
+        self.0.lock().expect("unpoisoned").push(checkpoint.clone());
     }
 }
 
@@ -157,47 +157,66 @@ fn island_config(islands: usize, seed: u64, population: usize, generations: usiz
     }
 }
 
-/// One full serial-reference run at the given evaluator worker count,
-/// capturing an `IslandCheckpoint` at every epoch barrier.
-fn run_capturing(config: &IslandConfig, threads: usize) -> (NsgaResult, Vec<IslandCheckpoint>) {
-    let problem = CachedEvaluator::with_options(
-        Ridge {
-            bounds: vec![48; 5],
-        },
-        256,
-        threads,
-    );
-    let sink = Capture::default();
-    let model = IslandModel::new(config.clone());
-    let result = model.run(&problem, Vec::new(), None, Some(&sink), |_, _| true);
-    (result, sink.0.into_inner())
+/// The driver over one batched evaluator per island, `workers` island
+/// legs at a time, each evaluator fanning out over `threads`.
+fn run_model(
+    config: &IslandConfig,
+    resume: Resume,
+    workers: usize,
+    threads: usize,
+    hooks: &dyn SearchHooks,
+) -> NsgaResult {
+    let problems: Vec<_> = (0..config.islands)
+        .map(|_| {
+            CachedEvaluator::with_options(
+                Ridge {
+                    bounds: vec![48; 5],
+                },
+                256,
+                threads,
+            )
+        })
+        .collect();
+    IslandModel::new(config.clone())
+        .run(&problems, Vec::new(), resume, workers, hooks)
+        .0
+}
+
+/// One full run, capturing an `IslandCheckpoint` at every epoch
+/// barrier.
+fn run_capturing(
+    config: &IslandConfig,
+    workers: usize,
+    threads: usize,
+) -> (NsgaResult, Vec<IslandCheckpoint>) {
+    let hooks = Capture::default();
+    let result = run_model(config, Resume::default(), workers, threads, &hooks);
+    (result, hooks.0.into_inner().expect("unpoisoned"))
 }
 
 /// Resume from `checkpoint` (after a JSON persistence round-trip, like
-/// the pipeline's on-disk epoch file) at the given worker count.
-fn resume(config: &IslandConfig, checkpoint: &IslandCheckpoint, threads: usize) -> NsgaResult {
-    let problem = CachedEvaluator::with_options(
-        Ridge {
-            bounds: vec![48; 5],
-        },
-        256,
-        threads,
-    );
+/// the pipeline's on-disk epoch file).
+fn resume(
+    config: &IslandConfig,
+    checkpoint: &IslandCheckpoint,
+    workers: usize,
+    threads: usize,
+) -> NsgaResult {
     let json = serde_json::to_string(checkpoint).expect("island checkpoint serializes");
     let restored: IslandCheckpoint = serde_json::from_str(&json).expect("island checkpoint parses");
     restored
-        .validate(config, problem.bounds())
+        .validate(config, &[48; 5])
         .expect("round-tripped island checkpoint is valid");
-    let model = IslandModel::new(config.clone());
-    model.run(&problem, Vec::new(), Some(restored), None, |_, _| true)
+    run_model(config, restored.into(), workers, threads, &())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Every epoch checkpoint of a seeded island run resumes to the
-    /// uninterrupted merged result, bit for bit, at one worker and at
-    /// eight — in every crash×resume thread-budget combination.
+    /// uninterrupted merged result, bit for bit, serially and with
+    /// concurrent legs over eight-thread evaluators — in every
+    /// crash×resume combination.
     #[test]
     fn resuming_from_every_epoch_checkpoint_is_bit_exact_across_thread_budgets(
         seed in any::<u64>(),
@@ -206,17 +225,17 @@ proptest! {
     ) {
         let config = island_config(islands, seed, 12, generations);
 
-        let (serial, serial_cps) = run_capturing(&config, 1);
-        let (threaded, threaded_cps) = run_capturing(&config, 8);
-        // The evaluator's worker count is invisible to the archipelago:
+        let (serial, serial_cps) = run_capturing(&config, 1, 1);
+        let (threaded, threaded_cps) = run_capturing(&config, islands, 8);
+        // Worker and thread counts are invisible to the archipelago:
         // both references and their epoch streams agree.
         prop_assert_eq!(&serial, &threaded);
         prop_assert_eq!(&serial_cps, &threaded_cps);
         prop_assert_eq!(serial_cps.len(), config.epoch_targets().len());
 
         for checkpoint in &serial_cps {
-            for threads in [1, 8] {
-                let resumed = resume(&config, checkpoint, threads);
+            for (workers, threads) in [(1, 1), (islands, 8)] {
+                let resumed = resume(&config, checkpoint, workers, threads);
                 prop_assert_eq!(&resumed.pareto_front, &serial.pareto_front);
                 prop_assert_eq!(&resumed.population, &serial.population);
                 prop_assert_eq!(resumed.evaluations, serial.evaluations);
