@@ -1,5 +1,5 @@
 //! The GA evaluation hot path: per-row oracle scoring vs the columnar
-//! LUT engine with the population-level neuron-column cache, plus the
+//! engine with the population-level neuron-column cache, plus the
 //! batched/memoized evaluation core on top.
 //!
 //! Run with `cargo bench -p pe-bench --bench eval_hot_path`. Besides
@@ -139,7 +139,7 @@ fn drift(population: &mut [Vec<u32>], bounds: &[u32], rng: &mut StdRng) {
 /// [`predictions_columns_with_kernel`] in the given mode, no caches.
 #[derive(Debug, Serialize)]
 struct KernelEntry {
-    /// Kernel mode name (`scalar`/`lut`/`bitsliced`/`simd`).
+    /// Kernel mode name (`scalar`/`simd`).
     kernel: String,
     /// Whether the mode has hardware backing here (`simd` is `false`
     /// on non-x86 targets or `--no-default-features` builds; it then
@@ -177,7 +177,7 @@ struct EvalBenchReport {
     column_contended: u64,
     /// The pre-columnar per-row algorithm (reference oracle).
     row_oracle_evals_per_sec: f64,
-    /// Columnar LUT engine, one genome at a time (column cache warms
+    /// Columnar engine, one genome at a time (column cache warms
     /// within the regime).
     serial_evals_per_sec: f64,
     /// Cold batched-parallel waves: fresh genome memo *and* fresh
@@ -200,8 +200,8 @@ struct EvalBenchReport {
     thread_scaling: Vec<ThreadScalingEntry>,
 }
 
-/// Time the raw columnar kernel (no caches, no genome memo) in every
-/// mode and prove each bit-exact against the scalar reference.
+/// Time the raw columnar kernel (no caches, no genome memo) in both
+/// modes and prove the SIMD one bit-exact against the scalar reference.
 fn kernel_entries(setup: &Setup, repeats: usize) -> Vec<KernelEntry> {
     let cols = setup.rows.columns();
     let samples = cols.samples();
@@ -216,41 +216,36 @@ fn kernel_entries(setup: &Setup, repeats: usize) -> Vec<KernelEntry> {
         &mut reference,
         KernelKind::Scalar,
     );
-    [
-        KernelKind::Scalar,
-        KernelKind::Lut,
-        KernelKind::BitSliced,
-        KernelKind::Simd,
-    ]
-    .into_iter()
-    .map(|kernel| {
-        predictions_columns_with_kernel(&setup.doped, &cols, &mut scratch, &mut preds, kernel);
-        let matches_scalar = preds == reference;
-        let best = (0..repeats)
-            .map(|_| {
-                let started = Instant::now();
-                for _ in 0..passes {
-                    predictions_columns_with_kernel(
-                        &setup.doped,
-                        &cols,
-                        &mut scratch,
-                        &mut preds,
-                        kernel,
-                    );
-                    black_box(&preds);
-                }
-                started.elapsed()
-            })
-            .min()
-            .expect("repeats > 0");
-        KernelEntry {
-            kernel: kernel.name().to_owned(),
-            available: kernel != KernelKind::Simd || pe_mlp::simd::available(),
-            raw_kernel_evals_per_sec: (passes * samples) as f64 / best.as_secs_f64().max(1e-9),
-            matches_scalar,
-        }
-    })
-    .collect()
+    [KernelKind::Scalar, KernelKind::Simd]
+        .into_iter()
+        .map(|kernel| {
+            predictions_columns_with_kernel(&setup.doped, &cols, &mut scratch, &mut preds, kernel);
+            let matches_scalar = preds == reference;
+            let best = (0..repeats)
+                .map(|_| {
+                    let started = Instant::now();
+                    for _ in 0..passes {
+                        predictions_columns_with_kernel(
+                            &setup.doped,
+                            &cols,
+                            &mut scratch,
+                            &mut preds,
+                            kernel,
+                        );
+                        black_box(&preds);
+                    }
+                    started.elapsed()
+                })
+                .min()
+                .expect("repeats > 0");
+            KernelEntry {
+                kernel: kernel.name().to_owned(),
+                available: kernel != KernelKind::Simd || pe_mlp::simd::available(),
+                raw_kernel_evals_per_sec: (passes * samples) as f64 / best.as_secs_f64().max(1e-9),
+                matches_scalar,
+            }
+        })
+        .collect()
 }
 
 /// Re-run the GA-shaped generation stream at explicit worker counts
@@ -494,12 +489,7 @@ fn bench(c: &mut Criterion) {
     });
 
     // --- explicit kernel modes (raw, no caches) ----------------------
-    for kernel in [
-        KernelKind::Scalar,
-        KernelKind::Lut,
-        KernelKind::BitSliced,
-        KernelKind::Simd,
-    ] {
+    for kernel in [KernelKind::Scalar, KernelKind::Simd] {
         let mut scratch = ColumnarScratch::default();
         let mut preds = Vec::new();
         c.bench_function(&format!("columnar_kernel/{}", kernel.name()), |b| {

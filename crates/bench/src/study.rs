@@ -113,15 +113,16 @@ pub fn study_config(budget: BudgetPreset, seed: u64) -> StudyConfig {
         .unwrap_or_else(|err| panic!("{err}"))
 }
 
-/// The budget preset of a bench binary, with every knob
-/// [`study_config`] reads checked up front: `PE_BUDGET` (see
-/// [`BudgetPreset::from_env`]), `PE_ISLANDS` and `PE_MIGRATE_EVERY`. A
-/// bad value prints the error and exits with status 2.
+/// The budget preset of a bench binary, with every knob the run reads
+/// checked up front: `PE_BUDGET` (see [`BudgetPreset::from_env`]), the
+/// count knobs of [`printed_axc::check_count_knobs`] and `PE_KERNEL`
+/// (see [`pe_mlp::columnar::kernel_from_env`]). A bad value prints the
+/// error and exits with status 2.
 #[must_use]
 pub fn budget_or_exit(default: BudgetPreset) -> BudgetPreset {
     let checked = BudgetPreset::from_env(default).and_then(|budget| {
-        printed_axc::islands_from_env()?;
-        printed_axc::migrate_every_from_env()?;
+        printed_axc::check_count_knobs()?;
+        pe_mlp::columnar::kernel_from_env()?;
         Ok(budget)
     });
     checked.unwrap_or_else(|err| {

@@ -37,15 +37,18 @@ use serde::{Deserialize, Serialize};
 pub const DEFAULT_CHECKPOINT_EVERY: usize = 5;
 
 /// Checkpoint cadence from the `PE_CHECKPOINT_EVERY` environment
-/// variable: unset or unparsable means [`DEFAULT_CHECKPOINT_EVERY`];
-/// `0` disables checkpointing; any other value is the cadence in
-/// completed generations.
+/// variable: unset means [`DEFAULT_CHECKPOINT_EVERY`]; `0` disables
+/// checkpointing; any other value is the cadence in completed
+/// generations.
+///
+/// # Panics
+///
+/// Panics if the variable is set but not a non-negative integer
+/// (binaries check it first through
+/// [`check_count_knobs`](crate::check_count_knobs)).
 #[must_use]
 pub fn checkpoint_every() -> usize {
-    std::env::var("PE_CHECKPOINT_EVERY")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(DEFAULT_CHECKPOINT_EVERY)
+    crate::flow::count_knob("PE_CHECKPOINT_EVERY").unwrap_or(DEFAULT_CHECKPOINT_EVERY)
 }
 
 /// Where and how often a search persists its generation checkpoint.

@@ -210,14 +210,13 @@ fn clamp_shards(requested: usize) -> usize {
 }
 
 /// The process-wide default shard count: `PE_CACHE_SHARDS` (clamped to
-/// a power of two in `1..=256`) or [`DEFAULT_SHARDS`]. Read once.
+/// a power of two in `1..=256`) or [`DEFAULT_SHARDS`]. Read once; a
+/// value that is not a non-negative integer panics (binaries check it
+/// first through [`check_count_knobs`](crate::check_count_knobs)).
 fn env_shards() -> usize {
     static SHARDS: OnceLock<usize> = OnceLock::new();
     *SHARDS.get_or_init(|| {
-        std::env::var("PE_CACHE_SHARDS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map_or(DEFAULT_SHARDS, clamp_shards)
+        crate::flow::count_knob("PE_CACHE_SHARDS").map_or(DEFAULT_SHARDS, clamp_shards)
     })
 }
 

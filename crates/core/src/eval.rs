@@ -51,18 +51,21 @@ use crate::checkpoint::CheckpointSpec;
 use crate::progress::{ProgressEvent, RunControl};
 
 /// Worker-thread budget for parallel evaluation, from the `PE_THREADS`
-/// environment variable: unset, unparsable or `0` means one worker per
-/// available core; any other value is used verbatim. Always at least 1.
+/// environment variable: unset or `0` means one worker per available
+/// core; any other value is used verbatim. Always at least 1.
 ///
 /// Both [`Pipeline::run_many`](crate::Pipeline::run_many) and
 /// [`CachedEvaluator::new`] resolve their defaults through this single
 /// helper, so one knob governs every pool in the flow.
+///
+/// # Panics
+///
+/// Panics if `PE_THREADS` is set but not a non-negative integer
+/// (binaries check it first through
+/// [`check_count_knobs`](crate::check_count_knobs)).
 #[must_use]
 pub fn thread_budget() -> usize {
-    match std::env::var("PE_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
+    match crate::flow::count_knob("PE_THREADS") {
         None | Some(0) => {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         }

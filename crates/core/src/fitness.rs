@@ -52,7 +52,7 @@ impl Default for AreaObjective {
 ///
 /// Internally the accuracy objective runs on the **columnar engine**:
 /// the dataset is transposed once into a [`ColumnMatrix`], every
-/// weight becomes a branch-free LUT kernel
+/// weight is one branch-free pass over its input column
 /// ([`pe_mlp::columnar`]), and neuron output columns are memoized in a
 /// population-level [`NeuronColumnCache`] shared across clones and
 /// threads — sibling genomes only pay for the neurons mutation
@@ -420,7 +420,6 @@ impl AxTrainProblem {
             best_index,
             act,
             next_act,
-            kernel: kscratch,
             ..
         } = scratch;
         act.clear();
@@ -454,7 +453,7 @@ impl AxTrainProblem {
                             || {
                                 if first {
                                     columnar::accumulate_neuron_column_kernel(
-                                        kernel, neuron, &refs, n, acc, narrow, kscratch,
+                                        kernel, neuron, &refs, n, acc, narrow,
                                     );
                                 } else {
                                     columnar::accumulate_neuron_column_kernel(
@@ -464,7 +463,6 @@ impl AxTrainProblem {
                                         n,
                                         acc,
                                         narrow,
-                                        kscratch,
                                     );
                                 }
                                 if !draw.is_identity() {
@@ -489,7 +487,7 @@ impl AxTrainProblem {
                     {
                         if first {
                             columnar::accumulate_neuron_column_kernel(
-                                kernel, neuron, &refs, n, acc, narrow, kscratch,
+                                kernel, neuron, &refs, n, acc, narrow,
                             );
                         } else {
                             columnar::accumulate_neuron_column_kernel(
@@ -499,7 +497,6 @@ impl AxTrainProblem {
                                 n,
                                 acc,
                                 narrow,
-                                kscratch,
                             );
                         }
                         let draw = model.device_draw(tseed, li, ni, layer.input_bits);
@@ -530,8 +527,9 @@ impl AxTrainProblem {
     /// Training accuracy of a decoded network on the columnar engine:
     /// hidden and output neuron columns come from the shared
     /// [`NeuronColumnCache`] when the population has already computed
-    /// them; misses run the branch-free LUT kernels over the transposed
-    /// dataset. Bit-exact with the per-row oracle.
+    /// them; misses run the [`kernel_mode`](columnar::kernel_mode)
+    /// column kernel over the transposed dataset. Bit-exact with the
+    /// per-row oracle.
     fn columnar_accuracy(&self, mlp: &pe_mlp::AxMlp, scratch: &mut ColumnarEvalScratch) -> f64 {
         let n = self.labels.len();
         if n == 0 {
@@ -556,7 +554,6 @@ impl AxTrainProblem {
             best_index,
             act,
             next_act,
-            kernel: kscratch,
             ..
         } = scratch;
         act.clear();
@@ -586,7 +583,7 @@ impl AxTrainProblem {
                             || {
                                 if first {
                                     columnar::hidden_column_kernel(
-                                        kernel, neuron, &refs, n, q, acc, narrow, kscratch, col,
+                                        kernel, neuron, &refs, n, q, acc, narrow, col,
                                     );
                                 } else {
                                     columnar::hidden_column_kernel(
@@ -597,7 +594,6 @@ impl AxTrainProblem {
                                         q,
                                         acc,
                                         narrow,
-                                        kscratch,
                                         col,
                                     );
                                 }
@@ -624,7 +620,7 @@ impl AxTrainProblem {
                         for (neuron, out) in layer.neurons.iter().zip(out_narrow.iter_mut()) {
                             if first {
                                 columnar::accumulate_neuron_column_narrow_kernel(
-                                    kernel, neuron, &refs, n, narrow, kscratch,
+                                    kernel, neuron, &refs, n, narrow,
                                 );
                             } else {
                                 columnar::accumulate_neuron_column_narrow_kernel(
@@ -633,7 +629,6 @@ impl AxTrainProblem {
                                     &act[..],
                                     n,
                                     narrow,
-                                    kscratch,
                                 );
                             }
                             std::mem::swap(narrow, out);
@@ -650,7 +645,7 @@ impl AxTrainProblem {
                         for (neuron, out) in layer.neurons.iter().zip(out_accs.iter_mut()) {
                             if first {
                                 columnar::accumulate_neuron_column_kernel(
-                                    kernel, neuron, &refs, n, acc, narrow, kscratch,
+                                    kernel, neuron, &refs, n, acc, narrow,
                                 );
                             } else {
                                 columnar::accumulate_neuron_column_kernel(
@@ -660,7 +655,6 @@ impl AxTrainProblem {
                                     n,
                                     acc,
                                     narrow,
-                                    kscratch,
                                 );
                             }
                             std::mem::swap(acc, out);
@@ -829,8 +823,8 @@ fn has_constant_hidden_neuron(mlp: &pe_mlp::AxMlp) -> bool {
     })
 }
 
-/// Reusable buffers for the cached columnar scoring path (LUT,
-/// accumulator column, activation column). One per worker thread / per
+/// Reusable buffers for the cached columnar scoring path (accumulator
+/// columns, activation column). One per worker thread / per
 /// batch; grows to the dataset size once. `act`/`next_act` are the
 /// batch-scoped arena for the per-wave activation column sets: the
 /// `Arc` handles are cheap clones of cached columns, and keeping the
@@ -848,7 +842,6 @@ struct ColumnarEvalScratch {
     best_index: Vec<u32>,
     act: Vec<Arc<[u8]>>,
     next_act: Vec<Arc<[u8]>>,
-    kernel: columnar::KernelScratch,
     /// Decode-in-place network, reused across genomes so the decode
     /// step allocates nothing in steady state.
     decoded: pe_mlp::AxMlp,
@@ -891,8 +884,8 @@ fn argmax_hits<T: Copy + PartialOrd>(
 
 /// [`argmax_hits`] over narrow (`i32`) columns: under the explicit
 /// SIMD kernel the per-column update runs vectorized (bit-exact —
-/// same strictly-greater rule, same column order); every other kernel
-/// mode, and hosts without the vector path, take the scalar sweep.
+/// same strictly-greater rule, same column order); the scalar kernel,
+/// and hosts without the vector path, take the scalar sweep.
 fn argmax_hits_narrow(
     kernel: pe_mlp::KernelKind,
     accs: &[Vec<i32>],

@@ -157,10 +157,44 @@ pub fn migrate_every_from_env() -> Result<Option<usize>, String> {
     count_from_env("PE_MIGRATE_EVERY")
 }
 
+/// Every count knob the library reads from the environment.
+const COUNT_KNOBS: [&str; 5] = [
+    "PE_ISLANDS",
+    "PE_MIGRATE_EVERY",
+    "PE_THREADS",
+    "PE_CHECKPOINT_EVERY",
+    "PE_CACHE_SHARDS",
+];
+
+/// Check every count knob the library reads from the environment
+/// (`PE_ISLANDS`, `PE_MIGRATE_EVERY`, `PE_THREADS`,
+/// `PE_CHECKPOINT_EVERY`, `PE_CACHE_SHARDS`) up front, so a binary can
+/// fail cleanly instead of panicking deep inside a run.
+///
+/// # Errors
+///
+/// A message naming the first knob that is set but not a non-negative
+/// integer, and the accepted form.
+pub fn check_count_knobs() -> Result<(), String> {
+    COUNT_KNOBS
+        .into_iter()
+        .try_for_each(|var| count_from_env(var).map(drop))
+}
+
 fn count_from_env(var: &str) -> Result<Option<usize>, String> {
     std::env::var_os(var)
         .map(|value| parse_count(var, &value.to_string_lossy()))
         .transpose()
+}
+
+/// The count knob `var` for readers that cannot return an error:
+/// unset is `None`.
+///
+/// # Panics
+///
+/// Panics with the [`check_count_knobs`] message on a bad value.
+pub(crate) fn count_knob(var: &str) -> Option<usize> {
+    count_from_env(var).unwrap_or_else(|err| panic!("{err}"))
 }
 
 /// Parse the value of the count knob `var`.
@@ -221,12 +255,17 @@ mod tests {
 
     #[test]
     fn count_knobs_parse_and_bad_values_are_errors() {
-        assert_eq!(parse_count("PE_ISLANDS", "0"), Ok(0));
-        assert_eq!(parse_count("PE_ISLANDS", "4"), Ok(4));
-        for bad in ["bogus", "", "-1", "2.5", " 3"] {
-            let err = parse_count("PE_MIGRATE_EVERY", bad).unwrap_err();
-            assert!(err.starts_with("PE_MIGRATE_EVERY="), "{err}");
-            assert!(err.contains("a non-negative integer"), "{err}");
+        for var in ["PE_THREADS", "PE_CHECKPOINT_EVERY", "PE_CACHE_SHARDS"] {
+            assert!(COUNT_KNOBS.contains(&var), "{var} is not checked up front");
+        }
+        for var in COUNT_KNOBS {
+            assert_eq!(parse_count(var, "0"), Ok(0));
+            assert_eq!(parse_count(var, "4"), Ok(4));
+            for bad in ["bogus", "", "-1", "2.5", " 3"] {
+                let err = parse_count(var, bad).unwrap_err();
+                assert!(err.starts_with(&format!("{var}=")), "{err}");
+                assert!(err.contains("a non-negative integer"), "{err}");
+            }
         }
     }
 

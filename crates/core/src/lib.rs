@@ -115,7 +115,9 @@ pub use engine::{
 pub use error::FlowError;
 pub use eval::{thread_budget, CachedEvaluator, EvalCacheStats};
 pub use fitness::{AreaObjective, AxTrainProblem};
-pub use flow::{islands_from_env, migrate_every_from_env, DatasetStudy, StudyConfig};
+pub use flow::{
+    check_count_knobs, islands_from_env, migrate_every_from_env, DatasetStudy, StudyConfig,
+};
 pub use genome::{GenomeSpec, LayerGenomeSpec};
 pub use init::{doped_seeds, doped_seeds_calibrated, doped_seeds_refined, refine_doped};
 pub use pareto::{

@@ -1,5 +1,5 @@
 //! Columnar (structure-of-arrays) inference: flat quantized datasets
-//! and branch-free per-weight LUT kernels.
+//! and branch-free per-weight column kernels.
 //!
 //! The GA fitness loop scores every genome against the full training
 //! split. The row-major path ([`AxMlp::predict_with`]) walks one sample
@@ -12,15 +12,12 @@
 //!   `pe-datasets`' `QuantizedData` and every accuracy API.
 //! * [`ColumnMatrix`] is its transpose: each *feature* column is
 //!   contiguous, so a neuron's accumulation streams samples linearly.
-//! * [`weight_lut`] compiles one [`AxWeight`] into a small `i32`
-//!   lookup table (16 entries for the paper's 4-bit inputs): for every
-//!   possible activation `x`, `lut[x] = s · ((x ⊙ m) ≪ k)`. The inner
-//!   loop over samples is the branch-free, contiguous
-//!   `acc[s] += lut[x[s]]` — with the LUT entry evaluated
-//!   *analytically* (AND, widening shift, add; sign hoisted out of the
-//!   loop) so the compiler vectorizes it without a gather, and at
-//!   `i32` lane width whenever the accumulator provably fits
-//!   ([`fits_i32`], [`accumulate_neuron_column`]).
+//! * [`accumulate_neuron_column`] runs one pass per weight over its
+//!   contiguous input column, adding the weight's term
+//!   `s · ((x ⊙ m) ≪ k)` to every sample's accumulator — an AND, a
+//!   widening shift and an add, with the sign hoisted out of the loop,
+//!   so the compiler vectorizes it, and at `i32` lane width whenever
+//!   the accumulator provably fits ([`fits_i32`]).
 //! * [`qrelu_column`] applies the saturation of Eq. (4) to a whole
 //!   accumulator column at once via the precomputed
 //!   [`QReluKernel`](crate::quant::QReluKernel).
@@ -34,22 +31,16 @@
 //!
 //! # Kernel modes
 //!
-//! The per-weight accumulation itself comes in four interchangeable
-//! [`KernelKind`]s, all bit-exact with each other (integer sums
-//! without overflow are representation-agnostic, which the proptest
-//! parity suite pins down):
+//! The per-weight accumulation comes in two [`KernelKind`]s, bit-exact
+//! with each other (integer sums without overflow are
+//! representation-agnostic, which the proptest parity suite pins down):
 //!
-//! * [`KernelKind::Scalar`] — the analytic AND/shift/add loop above,
-//!   left to the auto-vectorizer. The reference.
-//! * [`KernelKind::Lut`] — the literal `acc[s] += lut[x[s]]` gather
-//!   over tables compiled by [`weight_lut`] into one scratch reused
-//!   across weights and neurons ([`KernelScratch`]).
-//! * [`KernelKind::BitSliced`] — portable SWAR ([`crate::bitslice`]):
-//!   8 samples per `u64`, the LUT entry evaluated with AND/shift/add
-//!   across 16-bit lanes.
+//! * [`KernelKind::Scalar`] — the AND/shift/add loop above, left to the
+//!   auto-vectorizer. The reference, and the only kernel on non-x86
+//!   targets and `--no-default-features` builds.
 //! * [`KernelKind::Simd`] — explicit `std::arch` x86_64 SSE2/AVX2
-//!   ([`crate::simd`]), runtime feature-detected, with the scalar
-//!   kernel as the fallback everywhere else.
+//!   ([`crate::simd`]), runtime feature-detected, falling back to the
+//!   scalar kernel per neuron wherever it cannot run.
 //!
 //! [`kernel_mode`] picks the process-wide default (the `PE_KERNEL`
 //! environment variable, `auto` preferring SIMD where available);
@@ -60,7 +51,7 @@ use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
-use crate::axmlp::{AxMlp, AxNeuron, AxWeight};
+use crate::axmlp::{AxMlp, AxNeuron};
 use crate::quant::QReluCfg;
 
 /// A quantized dataset as one flat row-major buffer plus a stride.
@@ -300,48 +291,13 @@ impl ColumnMatrix {
     }
 }
 
-/// Compile one weight into its activation lookup table:
-/// `lut[x] = s · ((x ⊙ m) ≪ k)` for every reachable activation `x`.
-///
-/// The table covers `2^input_bits` entries — 16 for the paper's 4-bit
-/// inputs — widened (up to the full 256 `u8` values) when a hand-built
-/// weight carries mask bits above `input_bits`, so the kernel is exact
-/// for *any* `u8` activation stream: indexing wraps with
-/// `x & (lut.len() - 1)`, and every mask bit that can ever meet a set
-/// activation bit lies inside the table.
-///
-/// Entries fit `i32` for every encodable weight (`x ⊙ m ≤ 255`,
-/// `k ≤ 22`); the per-sample accumulation widens to `i64`, exactly like
-/// [`AxNeuron::accumulate`].
-pub fn weight_lut(w: AxWeight, input_bits: u32, lut: &mut Vec<i32>) {
-    debug_assert!(w.shift <= 22, "shift {} overflows the i32 LUT", w.shift);
-    // Bits that can influence `x & mask` for a u8 activation.
-    let mask8 = w.mask & 0xFF;
-    let need = 16 - mask8.leading_zeros();
-    let bits = input_bits.max(need).min(8);
-    let size = 1usize << bits;
-    lut.clear();
-    lut.resize(size, 0);
-    if w.mask == 0 {
-        return;
-    }
-    for (x, slot) in lut.iter_mut().enumerate() {
-        let v = i32::from(x as u16 & w.mask) << w.shift;
-        *slot = if w.negative { -v } else { v };
-    }
-}
-
 /// Accumulate one neuron's Eq. (4) sum over a whole dataset at once:
-/// `acc[s] = bias + Σ_i lut_i[x_i[s]]`, one branch-free pass per
-/// weight over its contiguous input column.
+/// `acc[s] = bias + Σ_i s_i · ((x_i[s] ⊙ m_i) ≪ k_i)`, one branch-free
+/// pass per weight over its contiguous input column.
 ///
-/// The weight's LUT entry `lut[x] = s · ((x ⊙ m) ≪ k)` is evaluated
-/// *analytically* in the inner loop — an AND, a widening shift and an
-/// add with the sign branch hoisted out of the loop — rather than
-/// through an indexed load: the arithmetic form auto-vectorizes (no
-/// gather), which is worth several× on the miss path. [`weight_lut`]
-/// remains the executable specification of the same function and the
-/// parity tests pin the two to each other.
+/// The term is evaluated arithmetically in the inner loop — an AND, a
+/// widening shift and an add with the sign branch hoisted out of the
+/// loop — so it auto-vectorizes without a gather.
 ///
 /// Bit-exact with running [`AxNeuron::accumulate`] on every sample.
 ///
@@ -476,20 +432,14 @@ pub fn accumulate_neuron_column_narrow<C: AsRef<[u8]>>(
     }
 }
 
-/// Which accumulation kernel evaluates Eq. (4) columns. All four are
+/// Which accumulation kernel evaluates Eq. (4) columns. Both are
 /// bit-exact with each other (proven by the proptest parity suite);
-/// they differ only in how the per-weight LUT entry is evaluated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// they differ only in how the per-weight loop is vectorized.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
-    /// The analytic AND/shift/add loop, left to the auto-vectorizer
+    /// The AND/shift/add loop, left to the auto-vectorizer
     /// ([`accumulate_neuron_column_narrow`]). The reference kernel.
     Scalar,
-    /// The literal LUT gather `acc[s] += lut[x[s]]` over tables
-    /// compiled by [`weight_lut`] ([`accumulate_neuron_column_lut`]).
-    Lut,
-    /// Portable SWAR bit-slicing, 8 samples per `u64`
-    /// ([`crate::bitslice`]).
-    BitSliced,
     /// Explicit `std::arch` x86_64 SSE2/AVX2 ([`crate::simd`]),
     /// runtime feature-detected; falls back to [`KernelKind::Scalar`]
     /// where unavailable.
@@ -497,16 +447,21 @@ pub enum KernelKind {
 }
 
 impl KernelKind {
-    /// Parse a `PE_KERNEL` value (`scalar` / `lut` / `bitsliced` /
-    /// `simd`); anything else is `None` (= auto).
-    #[must_use]
-    pub fn parse(value: &str) -> Option<KernelKind> {
+    /// Parse a `PE_KERNEL` value: `scalar` or `simd`, or `auto` (`None`:
+    /// the host's default, see [`kernel_mode`]).
+    ///
+    /// # Errors
+    ///
+    /// A message naming the variable and the accepted values, for
+    /// anything else.
+    pub fn parse(value: &str) -> Result<Option<KernelKind>, String> {
         match value {
-            "scalar" => Some(KernelKind::Scalar),
-            "lut" => Some(KernelKind::Lut),
-            "bitsliced" => Some(KernelKind::BitSliced),
-            "simd" => Some(KernelKind::Simd),
-            _ => None,
+            "scalar" => Ok(Some(KernelKind::Scalar)),
+            "simd" => Ok(Some(KernelKind::Simd)),
+            "auto" => Ok(None),
+            other => Err(format!(
+                "PE_KERNEL={other:?} is not a kernel; accepted values: scalar, simd, auto"
+            )),
         }
     }
 
@@ -515,27 +470,42 @@ impl KernelKind {
     pub fn name(self) -> &'static str {
         match self {
             KernelKind::Scalar => "scalar",
-            KernelKind::Lut => "lut",
-            KernelKind::BitSliced => "bitsliced",
             KernelKind::Simd => "simd",
         }
     }
 }
 
+/// The kernel the `PE_KERNEL` environment variable asks for: unset or
+/// `auto` is `None` (the host's default).
+///
+/// # Errors
+///
+/// As [`KernelKind::parse`], when the variable holds anything but
+/// `scalar`, `simd` or `auto`.
+pub fn kernel_from_env() -> Result<Option<KernelKind>, String> {
+    std::env::var_os("PE_KERNEL").map_or(Ok(None), |value| {
+        KernelKind::parse(&value.to_string_lossy())
+    })
+}
+
 /// The process-wide kernel mode: the `PE_KERNEL` environment variable
-/// (`scalar` / `lut` / `bitsliced` / `simd`), or — unset or `auto` —
-/// [`KernelKind::Simd`] where the explicit kernels are available and
-/// [`KernelKind::Scalar`] everywhere else. Read once and cached: the
-/// mode is a performance knob only — every kernel is bit-exact with
-/// every other, so artifacts never depend on it.
+/// (`scalar` / `simd`), or — unset or `auto` — [`KernelKind::Simd`]
+/// where the explicit kernels are available and [`KernelKind::Scalar`]
+/// everywhere else. Read once and cached: the mode is a performance
+/// knob only — both kernels are bit-exact with each other, so artifacts
+/// never depend on it.
+///
+/// # Panics
+///
+/// Panics with the [`kernel_from_env`] message if `PE_KERNEL` holds
+/// any other value; binaries check it up front to fail with a clean
+/// error instead.
 #[must_use]
 pub fn kernel_mode() -> KernelKind {
     static MODE: OnceLock<KernelKind> = OnceLock::new();
     *MODE.get_or_init(|| {
-        std::env::var("PE_KERNEL")
-            .ok()
-            .as_deref()
-            .and_then(KernelKind::parse)
+        kernel_from_env()
+            .unwrap_or_else(|err| panic!("{err}"))
             .unwrap_or_else(|| {
                 if crate::simd::available() {
                     KernelKind::Simd
@@ -546,47 +516,11 @@ pub fn kernel_mode() -> KernelKind {
     })
 }
 
-/// Reusable buffers of the non-scalar kernels, plumbed through the
-/// evaluation loop like `to_arith_spec_into`'s spec buffer: the
-/// per-weight LUT is compiled into one `Vec<i32>` reused across
-/// weights *and* neurons instead of regrown per weight, and the SWAR
-/// lane accumulators persist across neurons the same way.
-#[derive(Debug, Clone, Default)]
-pub struct KernelScratch {
-    /// [`weight_lut`] output, shared across every weight and neuron
-    /// scored through this scratch.
-    pub(crate) lut: Vec<i32>,
-    /// 16-bit SWAR lane accumulators of [`crate::bitslice`].
-    pub(crate) planes: Vec<u64>,
-}
-
-impl KernelScratch {
-    /// A fresh (empty) scratch; buffers grow on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// [`accumulate_neuron_column`] through the process-wide
-/// [`kernel_mode`]: the entry point of the fitness hot path. Identical
-/// results to the scalar reference for every mode.
-pub fn accumulate_neuron_column_auto<C: AsRef<[u8]>>(
-    neuron: &AxNeuron,
-    inputs: &[C],
-    samples: usize,
-    acc: &mut Vec<i64>,
-    narrow: &mut Vec<i32>,
-    scratch: &mut KernelScratch,
-) {
-    accumulate_neuron_column_kernel(kernel_mode(), neuron, inputs, samples, acc, narrow, scratch);
-}
-
 /// [`accumulate_neuron_column`] through an explicit [`KernelKind`].
 /// The wide (`i64`) result lands in `acc` exactly like the reference;
-/// kernels that cannot handle the neuron (a non-[`fits_i32`] extreme,
-/// SIMD off-target, a bit-slice lane overflow) fall back to the scalar
-/// reference — bit-exact either way.
+/// neurons the chosen kernel cannot handle (a non-[`fits_i32`]
+/// extreme, SIMD off-target) fall back to the scalar reference —
+/// bit-exact either way.
 pub fn accumulate_neuron_column_kernel<C: AsRef<[u8]>>(
     kernel: KernelKind,
     neuron: &AxNeuron,
@@ -594,10 +528,9 @@ pub fn accumulate_neuron_column_kernel<C: AsRef<[u8]>>(
     samples: usize,
     acc: &mut Vec<i64>,
     narrow: &mut Vec<i32>,
-    scratch: &mut KernelScratch,
 ) {
     if fits_i32(neuron) {
-        accumulate_neuron_column_narrow_kernel(kernel, neuron, inputs, samples, narrow, scratch);
+        accumulate_neuron_column_narrow_kernel(kernel, neuron, inputs, samples, narrow);
         acc.clear();
         acc.extend(narrow.iter().map(|&a| i64::from(a)));
         return;
@@ -616,72 +549,11 @@ pub fn accumulate_neuron_column_narrow_kernel<C: AsRef<[u8]>>(
     inputs: &[C],
     samples: usize,
     acc: &mut Vec<i32>,
-    scratch: &mut KernelScratch,
 ) {
-    match kernel {
-        KernelKind::Scalar => accumulate_neuron_column_narrow(neuron, inputs, samples, acc),
-        KernelKind::Lut => {
-            accumulate_neuron_column_lut(neuron, inputs, samples, acc, &mut scratch.lut);
-        }
-        KernelKind::BitSliced => {
-            if crate::bitslice::supported(neuron) {
-                crate::bitslice::accumulate_neuron_column_bitsliced(
-                    neuron,
-                    inputs,
-                    samples,
-                    acc,
-                    &mut scratch.planes,
-                );
-            } else {
-                accumulate_neuron_column_narrow(neuron, inputs, samples, acc);
-            }
-        }
-        KernelKind::Simd => {
-            if !crate::simd::accumulate_neuron_column_simd(neuron, inputs, samples, acc) {
-                accumulate_neuron_column_narrow(neuron, inputs, samples, acc);
-            }
-        }
-    }
-}
-
-/// The literal LUT-gather kernel: per weight, compile the activation
-/// table with [`weight_lut`] into the shared `lut` scratch (reused
-/// across weights and neurons — never regrown per weight) and run
-/// `acc[s] += lut[x[s]]` over the contiguous column. Tables are
-/// compiled at full `u8` width, so the gather is exact for any
-/// activation stream. Requires [`fits_i32`]; bit-exact with the
-/// analytic kernels.
-///
-/// # Panics
-///
-/// Panics if `inputs` and the weights disagree in count or an active
-/// weight's column length differs from `samples`.
-pub fn accumulate_neuron_column_lut<C: AsRef<[u8]>>(
-    neuron: &AxNeuron,
-    inputs: &[C],
-    samples: usize,
-    acc: &mut Vec<i32>,
-    lut: &mut Vec<i32>,
-) {
-    debug_assert!(fits_i32(neuron), "narrow accumulation would overflow");
-    assert_eq!(
-        inputs.len(),
-        neuron.weights.len(),
-        "input column count mismatch"
-    );
-    acc.clear();
-    acc.resize(samples, neuron.bias);
-    for (w, col) in neuron.weights.iter().zip(inputs) {
-        if w.mask == 0 {
-            continue;
-        }
-        let col = col.as_ref();
-        assert_eq!(col.len(), samples, "column length mismatch");
-        weight_lut(*w, 8, lut);
-        let idx_mask = lut.len() - 1;
-        for (a, &x) in acc.iter_mut().zip(col) {
-            *a += lut[usize::from(x) & idx_mask];
-        }
+    if kernel == KernelKind::Scalar
+        || !crate::simd::accumulate_neuron_column_simd(neuron, inputs, samples, acc)
+    {
+        accumulate_neuron_column_narrow(neuron, inputs, samples, acc);
     }
 }
 
@@ -714,16 +586,15 @@ pub fn hidden_column_kernel<C: AsRef<[u8]>>(
     q: QReluCfg,
     acc: &mut Vec<i64>,
     narrow: &mut Vec<i32>,
-    scratch: &mut KernelScratch,
     out: &mut Vec<u8>,
 ) {
     if fits_i32(neuron) {
-        accumulate_neuron_column_narrow_kernel(kernel, neuron, inputs, samples, narrow, scratch);
+        accumulate_neuron_column_narrow_kernel(kernel, neuron, inputs, samples, narrow);
         if kernel != KernelKind::Simd || !crate::simd::qrelu_column_narrow_simd(q, narrow, out) {
             qrelu_column_narrow(q, narrow, out);
         }
     } else {
-        accumulate_neuron_column_kernel(kernel, neuron, inputs, samples, acc, narrow, scratch);
+        accumulate_neuron_column_kernel(kernel, neuron, inputs, samples, acc, narrow);
         qrelu_column(q, acc, out);
     }
 }
@@ -759,8 +630,8 @@ pub fn argmax_columns<T: Copy + PartialOrd, C: AsRef<[T]>>(
     best
 }
 
-/// Reusable buffers for the columnar forward pass: LUT and accumulator
-/// scratch plus double-buffered activation columns. Buffers grow to the
+/// Reusable buffers for the columnar forward pass: accumulator scratch
+/// plus double-buffered activation columns. Buffers grow to the
 /// widest layer once; steady-state inference allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct ColumnarScratch {
@@ -769,7 +640,6 @@ pub struct ColumnarScratch {
     act: Vec<Vec<u8>>,
     next: Vec<Vec<u8>>,
     out_accs: Vec<Vec<i64>>,
-    kernel: KernelScratch,
 }
 
 impl ColumnarScratch {
@@ -824,7 +694,6 @@ pub fn predictions_columns_with_kernel(
         act,
         next,
         out_accs,
-        kernel: kscratch,
     } = scratch;
     let mut refs: Vec<&[u8]> = Vec::new();
     let mut first = true;
@@ -837,9 +706,7 @@ pub fn predictions_columns_with_kernel(
                 next.resize(layer.neurons.len(), Vec::new());
                 for (neuron, out) in layer.neurons.iter().zip(next.iter_mut()) {
                     if first {
-                        hidden_column_kernel(
-                            kernel, neuron, &refs, samples, q, acc, narrow, kscratch, out,
-                        );
+                        hidden_column_kernel(kernel, neuron, &refs, samples, q, acc, narrow, out);
                     } else {
                         hidden_column_kernel(
                             kernel,
@@ -849,7 +716,6 @@ pub fn predictions_columns_with_kernel(
                             q,
                             acc,
                             narrow,
-                            kscratch,
                             out,
                         );
                     }
@@ -863,7 +729,7 @@ pub fn predictions_columns_with_kernel(
                 for (neuron, out) in layer.neurons.iter().zip(out_accs.iter_mut()) {
                     if first {
                         accumulate_neuron_column_kernel(
-                            kernel, neuron, &refs, samples, acc, narrow, kscratch,
+                            kernel, neuron, &refs, samples, acc, narrow,
                         );
                     } else {
                         accumulate_neuron_column_kernel(
@@ -873,7 +739,6 @@ pub fn predictions_columns_with_kernel(
                             samples,
                             acc,
                             narrow,
-                            kscratch,
                         );
                     }
                     std::mem::swap(acc, out);
@@ -923,7 +788,7 @@ pub fn accuracy_columns(mlp: &AxMlp, cols: &ColumnMatrix, labels: &[usize]) -> f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::axmlp::{AxLayer, InferenceScratch};
+    use crate::axmlp::{AxLayer, AxWeight, InferenceScratch};
 
     fn weight(mask: u16, shift: u8, negative: bool) -> AxWeight {
         AxWeight {
@@ -1029,49 +894,17 @@ mod tests {
     }
 
     #[test]
-    fn lut_matches_the_scalar_weight_math() {
-        for &(mask, shift, negative) in &[
-            (0b1010u16, 1u8, false),
-            (0b0110, 2, true),
-            (0, 5, true),
-            (0b1111, 0, false),
-        ] {
-            let w = weight(mask, shift, negative);
-            let mut lut = Vec::new();
-            weight_lut(w, 4, &mut lut);
-            assert_eq!(lut.len(), 16);
-            let n = AxNeuron {
-                weights: vec![w],
-                bias: 0,
-            };
-            for x in 0..16u8 {
-                assert_eq!(
-                    i64::from(lut[usize::from(x)]),
-                    n.accumulate(&[x]),
-                    "mask {mask:#b} shift {shift} neg {negative} x {x}"
-                );
-            }
+    fn kernel_spellings_parse_and_anything_else_is_an_error() {
+        for kind in [KernelKind::Scalar, KernelKind::Simd] {
+            assert_eq!(KernelKind::parse(kind.name()), Ok(Some(kind)));
         }
-    }
-
-    #[test]
-    fn lut_widens_for_masks_beyond_the_declared_input_width() {
-        // A hand-built weight with mask bits above input_bits=4 must
-        // still agree with `accumulate` on every u8 activation.
-        let w = weight(0xFFFF, 1, false);
-        let mut lut = Vec::new();
-        weight_lut(w, 4, &mut lut);
-        assert_eq!(lut.len(), 256);
-        let idx_mask = lut.len() - 1;
-        let n = AxNeuron {
-            weights: vec![w],
-            bias: 0,
-        };
-        for x in 0..=255u8 {
-            assert_eq!(
-                i64::from(lut[usize::from(x) & idx_mask]),
-                n.accumulate(&[x])
-            );
+        assert_eq!(KernelKind::parse("auto"), Ok(None));
+        // The two retired kernel names are errors, not aliases.
+        let retired = ["lut", concat!("bit", "sliced")];
+        for bad in retired.into_iter().chain(["bogus", "", "SIMD", " scalar"]) {
+            let err = KernelKind::parse(bad).unwrap_err();
+            assert!(err.starts_with("PE_KERNEL="), "{err}");
+            assert!(err.contains("accepted values: scalar, simd, auto"), "{err}");
         }
     }
 

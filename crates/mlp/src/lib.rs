@@ -14,8 +14,9 @@
 //! [`hardware`] lowers the integer networks into `pe-hw` circuit
 //! descriptions; [`metrics`] provides accuracy/confusion helpers;
 //! [`columnar`] holds the structure-of-arrays inference engine —
-//! [`QuantMatrix`] flat datasets, per-weight LUT kernels and
-//! column-major batch prediction, bit-exact with the per-row path;
+//! [`QuantMatrix`] flat datasets, per-weight column kernels (a scalar
+//! reference and an explicit-SIMD fast path) and column-major batch
+//! prediction, bit-exact with the per-row path;
 //! [`incremental`] re-scores single-gene edits for local search.
 //!
 //! # Example: train, quantize, approximate
@@ -41,7 +42,6 @@
 #![warn(missing_docs)]
 
 pub mod axmlp;
-pub mod bitslice;
 pub mod columnar;
 pub mod dense;
 pub mod hardware;
@@ -53,7 +53,7 @@ pub mod topology;
 pub mod train;
 
 pub use axmlp::{fold_constants, AxLayer, AxMlp, AxNeuron, AxWeight, InferenceScratch};
-pub use columnar::{ColumnMatrix, ColumnarScratch, KernelKind, KernelScratch, QuantMatrix};
+pub use columnar::{ColumnMatrix, ColumnarScratch, KernelKind, QuantMatrix};
 pub use dense::{argmax, DenseMlp};
 pub use hardware::{ax_to_hardware, fixed_to_hardware};
 pub use incremental::{Edit, IncrementalScorer};

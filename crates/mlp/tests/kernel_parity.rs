@@ -1,9 +1,10 @@
-//! Kernel parity: every [`KernelKind`] must be **bit-exact** with the
-//! scalar reference kernel, for random 4-bit networks and for neurons
-//! driven straight at the per-column accumulators — including masks up
-//! to the full `u16` range, shifts past the `i32`-safety cutoff (the
-//! wide `i64` path), and weights sitting exactly on the bit-sliced
-//! 16-bit lane boundary and the `i32` worst-case-bound boundary.
+//! Kernel parity: the explicit-SIMD [`KernelKind`] must be
+//! **bit-exact** with the scalar reference kernel, for random 4-bit
+//! networks and for neurons driven straight at the per-column
+//! accumulators — including masks up to the full `u16` range, shifts
+//! past the `i32`-safety cutoff (the wide `i64` path), a sum whose
+//! every term fills the high byte of a 16-bit half (`0xFF << 8`), and
+//! the `i32` worst-case-bound boundary.
 //!
 //! The scalar kernel is itself pinned against the per-row oracle
 //! elsewhere (`columnar.rs` unit tests and the core crate's
@@ -17,21 +18,16 @@ use pe_mlp::columnar::{
     predictions_columns_with_kernel,
 };
 use pe_mlp::{
-    AxLayer, AxMlp, AxNeuron, AxWeight, ColumnarScratch, InferenceScratch, KernelKind,
-    KernelScratch, QReluCfg, QuantMatrix,
+    AxLayer, AxMlp, AxNeuron, AxWeight, ColumnarScratch, InferenceScratch, KernelKind, QReluCfg,
+    QuantMatrix,
 };
 
-const KERNELS: [KernelKind; 4] = [
-    KernelKind::Scalar,
-    KernelKind::Lut,
-    KernelKind::BitSliced,
-    KernelKind::Simd,
-];
+const KERNELS: [KernelKind; 2] = [KernelKind::Scalar, KernelKind::Simd];
 
 /// A weight drawn to stress the interesting regimes: plain 4/8-bit
 /// masks, fully-masked (pruned) connections, masks with bits above the
-/// 8-bit activation range, small shifts (the bit-sliceable regime) and
-/// shifts past 22 (forcing the wide `i64` path).
+/// 8-bit activation range, small shifts (the common regime) and shifts
+/// past 22 (forcing the wide `i64` path).
 fn weight() -> impl Strategy<Value = AxWeight> {
     let mask = prop_oneof![
         0u16..=0xFF,
@@ -86,13 +82,10 @@ proptest! {
         }),
     ) {
         let expected = reference(&neuron, &inputs, samples);
-        let mut scratch = KernelScratch::new();
         for kernel in KERNELS {
             let mut acc = Vec::new();
             let mut narrow = Vec::new();
-            accumulate_neuron_column_kernel(
-                kernel, &neuron, &inputs, samples, &mut acc, &mut narrow, &mut scratch,
-            );
+            accumulate_neuron_column_kernel(kernel, &neuron, &inputs, samples, &mut acc, &mut narrow);
             prop_assert_eq!(&acc, &expected, "kernel {:?} diverged", kernel);
         }
     }
@@ -158,7 +151,8 @@ proptest! {
 
 /// Deterministic saturation boundaries: one weight set just inside the
 /// `i32` worst-case bound (narrow path) and one just past it (wide
-/// path), plus the bit-sliced lane boundary `(0xFF << 8) == 0xFF00`.
+/// path), plus six `(0xFF << 8) == 0xFF00` terms, whose sum carries
+/// out of a 16-bit half into the bits above it.
 #[test]
 fn kernels_agree_on_both_sides_of_the_i32_boundary() {
     let big = AxWeight {
@@ -176,7 +170,7 @@ fn kernels_agree_on_both_sides_of_the_i32_boundary() {
     };
     assert!(fits_i32(&narrow));
     assert!(!fits_i32(&wide));
-    let lane_edge = AxNeuron {
+    let high_byte = AxNeuron {
         weights: vec![
             AxWeight {
                 mask: 0xFF,
@@ -187,11 +181,10 @@ fn kernels_agree_on_both_sides_of_the_i32_boundary() {
         ],
         bias: -3,
     };
-    assert!(fits_i32(&lane_edge));
+    assert!(fits_i32(&high_byte));
 
     let samples = 33;
-    let mut scratch = KernelScratch::new();
-    for neuron in [&narrow, &wide, &lane_edge] {
+    for neuron in [&narrow, &wide, &high_byte] {
         let inputs: Vec<Vec<u8>> = (0..neuron.weights.len())
             .map(|w| {
                 (0..samples)
@@ -210,7 +203,6 @@ fn kernels_agree_on_both_sides_of_the_i32_boundary() {
                 samples,
                 &mut acc,
                 &mut narrow_acc,
-                &mut scratch,
             );
             assert_eq!(acc, expected, "kernel {kernel:?} diverged at a boundary");
         }
