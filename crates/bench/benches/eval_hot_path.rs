@@ -21,7 +21,7 @@ use pe_datasets::{generate, quantize, stratified_split, Dataset, QuantMatrix};
 use pe_mlp::columnar::{accuracy_columns, predictions_columns_with_kernel, ColumnarScratch};
 use pe_mlp::{AxMlp, FixedMlp, InferenceScratch, KernelKind, QuantConfig, Topology, TrainConfig};
 use pe_nsga::{random_genome, Evaluation, IntProblem};
-use printed_axc::eval::{thread_budget, CachedEvaluator, GENOME_CACHE_CAPACITY};
+use printed_axc::eval::{CachedEvaluator, GENOME_CACHE_CAPACITY};
 use printed_axc::{AxTrainConfig, AxTrainProblem, GenomeSpec, HwAwareTrainer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -168,8 +168,8 @@ struct EvalBenchReport {
     threads: usize,
     population: usize,
     generation_rounds: usize,
-    /// The kernel mode the cached regimes below ran under
-    /// (`PE_KERNEL` or the auto-detected default).
+    /// The kernel mode the cached regimes below ran under (the
+    /// platform's, see `pe_mlp::columnar::kernel_mode`).
     kernel_mode: String,
     /// Shards the neuron-column cache was split across.
     column_shards: usize,
@@ -298,7 +298,7 @@ fn thread_scaling_entries(setup: &Setup, rounds: usize, repeats: usize) -> Vec<T
 /// Timed comparison written to `BENCH_eval.json` (independent of the
 /// Criterion samples so the JSON is one clean apples-to-apples pass).
 fn write_report(setup: &Setup) {
-    let threads = thread_budget();
+    let threads = pe_bench::Knobs::from_env().threads;
     // Enough waves that the one-off cold start (generation 0) weighs
     // about as little as it does in a real study, where it is one of
     // hundreds of generations; all regimes use the same count, so the

@@ -8,10 +8,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use pe_baselines::{approximate_tc23, Tc23Config};
 use pe_bench::study::run_selected;
-use pe_bench::{fig4, BudgetPreset};
+use pe_bench::{budget_or_exit, fig4, BudgetPreset};
 
 fn bench(c: &mut Criterion) {
-    let budget = BudgetPreset::from_env(BudgetPreset::Quick).unwrap_or_else(|err| panic!("{err}"));
+    let budget = budget_or_exit(BudgetPreset::Quick);
     let selected = run_selected(budget, 0);
     let engines = fig4::paper_engines();
     let tech = pe_hw::TechLibrary::egfet();

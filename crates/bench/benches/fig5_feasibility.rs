@@ -7,11 +7,11 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use pe_bench::study::run_studies;
-use pe_bench::{fig5, BudgetPreset};
+use pe_bench::{budget_or_exit, fig5, BudgetPreset};
 use pe_hw::{FeasibilityZones, VddModel};
 
 fn bench(c: &mut Criterion) {
-    let budget = BudgetPreset::from_env(BudgetPreset::Quick).unwrap_or_else(|err| panic!("{err}"));
+    let budget = budget_or_exit(BudgetPreset::Quick);
     let studies = run_studies(budget, 0);
     let rows: Vec<_> = studies.iter().map(fig5::row).collect();
     println!("{}", fig5::render(&rows));

@@ -7,14 +7,14 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use pe_bench::study::run_studies;
-use pe_bench::{table1, BudgetPreset};
+use pe_bench::{budget_or_exit, table1, BudgetPreset};
 use pe_datasets::{generate, stratified_split, Dataset};
 use pe_hw::{Elaborator, TechLibrary};
 use pe_mlp::{fixed_to_hardware, FixedMlp, QuantConfig, Topology, TrainConfig};
 
 fn bench(c: &mut Criterion) {
     // Print the table once, from a quick run.
-    let budget = BudgetPreset::from_env(BudgetPreset::Quick).unwrap_or_else(|err| panic!("{err}"));
+    let budget = budget_or_exit(BudgetPreset::Quick);
     let studies = run_studies(budget, 0);
     let rows = table1::rows(&studies);
     println!("{}", table1::render(&rows));

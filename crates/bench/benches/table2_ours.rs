@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use pe_bench::study::run_studies;
-use pe_bench::{table2, BudgetPreset};
+use pe_bench::{budget_or_exit, table2, BudgetPreset};
 use pe_datasets::{generate, quantize, stratified_split, Dataset};
 use pe_mlp::{FixedMlp, QuantConfig, Topology, TrainConfig};
 use pe_nsga::{random_genome, IntProblem};
@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn bench(c: &mut Criterion) {
-    let budget = BudgetPreset::from_env(BudgetPreset::Quick).unwrap_or_else(|err| panic!("{err}"));
+    let budget = budget_or_exit(BudgetPreset::Quick);
     let studies = run_studies(budget, 0);
     let rows = table2::rows(&studies);
     println!("{}", table2::render(&rows));

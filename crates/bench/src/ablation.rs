@@ -25,6 +25,7 @@ use printed_axc::{
 };
 
 use crate::format::render_table;
+use crate::knobs::Knobs;
 
 /// The study configuration the ablations prepare data with.
 fn ablation_config(seed: u64, ga: AxTrainConfig) -> StudyConfig {
@@ -234,7 +235,8 @@ pub fn objective(
     let costed = pipeline.baseline_costed().expect("stages 1-3");
 
     let model = pe_hw::ExactCostModel::new(pe_hw::CostScenario::default());
-    let ctx = costed.search_context(&model, loss_budget);
+    let mut ctx = costed.search_context(&model, loss_budget);
+    ctx.eval_threads = Knobs::from_env().threads;
 
     let run = |objective: AreaObjective| {
         let engine = NsgaEngine::new(AxTrainConfig {

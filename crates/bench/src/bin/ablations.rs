@@ -2,11 +2,12 @@
 //!
 //! Usage: `cargo run -p pe-bench --release --bin ablations`.
 
-use pe_bench::ablation;
 use pe_bench::format::write_json;
+use pe_bench::{ablation, Knobs};
 use pe_datasets::Dataset;
 
 fn main() {
+    let _ = Knobs::from_env();
     let doping: Vec<_> = [Dataset::BreastCancer, Dataset::Cardio, Dataset::RedWine]
         .iter()
         .map(|&d| ablation::doping(d, 32, 30, 0))

@@ -15,13 +15,13 @@
 
 use pe_bench::format::write_json;
 use pe_bench::study::run_studies;
-use pe_bench::{budget_or_exit, sweep, BudgetPreset};
+use pe_bench::{sweep, BudgetPreset, Knobs};
 use pe_store::DesignStore;
 
 fn main() {
-    let points = match std::env::var_os("PE_STORE") {
+    let knobs = Knobs::from_env();
+    let points = match knobs.store {
         Some(path) => {
-            let path = std::path::PathBuf::from(path);
             let store = match DesignStore::load(&path) {
                 Ok(store) => store,
                 Err(err) => {
@@ -38,8 +38,7 @@ fn main() {
             sweep::sweep_designs(&designs)
         }
         None => {
-            let budget = budget_or_exit(BudgetPreset::Full);
-            let studies = run_studies(budget, 0);
+            let studies = run_studies(knobs.budget.unwrap_or(BudgetPreset::Full), 0);
             sweep::sweep(&studies)
         }
     };

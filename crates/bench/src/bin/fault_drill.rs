@@ -3,6 +3,7 @@
 //! `BENCH_fault.json` and exits non-zero when any cycle is red.
 
 fn main() {
+    let _ = pe_bench::Knobs::from_env();
     // This binary re-executes itself as fault-armed children; dispatch
     // a child role (and exit) before doing any parent work.
     if pe_bench::fault_drill::child_dispatch() {

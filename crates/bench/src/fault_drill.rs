@@ -127,6 +127,11 @@ pub fn drill_config(seed: u64) -> StudyConfig {
 /// it).
 const DRILL_GENERATIONS: u64 = 12;
 
+/// Checkpoint cadence of the drill's studies: every generation is a
+/// potential resume point, which maximizes resume coverage. Cadence
+/// never affects results.
+const DRILL_CHECKPOINT_EVERY: usize = 1;
+
 /// Islands of the island-search drill cycles.
 const DRILL_ISLANDS: usize = 2;
 
@@ -196,7 +201,8 @@ pub fn child_dispatch() -> bool {
                 .unwrap_or(0);
             let mut study = Study::for_dataset(Dataset::BreastCancer)
                 .config(drill_config(seed))
-                .cache_dir(cache);
+                .cache_dir(cache)
+                .checkpoint_every(DRILL_CHECKPOINT_EVERY);
             if islands >= 2 {
                 study = study
                     .islands(islands)
@@ -230,20 +236,14 @@ pub fn child_dispatch() -> bool {
     true
 }
 
-/// Spawn this binary as a child in `role`, with exactly the given
-/// extra environment (any ambient `PE_FAULT`/`PE_CHECKPOINT_EVERY` is
-/// scrubbed first so only the drill's plan is armed). Returns the
+/// Spawn this binary as a child in `role`, with the given extra
+/// environment (any ambient `PE_FAULT` is scrubbed first so only the
+/// drill's plan is armed; the child reads no other knob). Returns the
 /// child's success flag, wall-clock, and captured stderr.
 fn spawn_child(role: &str, envs: &[(&str, String)]) -> std::io::Result<ChildRun> {
     let exe = std::env::current_exe()?;
     let mut cmd = Command::new(exe);
-    cmd.env_remove("PE_FAULT")
-        .env_remove("PE_CHECKPOINT_EVERY")
-        .env_remove("PE_STORE")
-        .env_remove("PE_CACHE_DIR")
-        .env_remove("PE_ISLANDS")
-        .env_remove("PE_MIGRATE_EVERY")
-        .env(ROLE_VAR, role);
+    cmd.env_remove("PE_FAULT").env(ROLE_VAR, role);
     for (key, value) in envs {
         cmd.env(key, value);
     }
@@ -314,9 +314,6 @@ fn study_envs(
     let mut envs = vec![
         ("PE_DRILL_CACHE", cache.display().to_string()),
         ("PE_DRILL_SEED", seed.to_string()),
-        // Cadence 1 maximizes resume coverage: every generation is a
-        // potential resume point. Cadence never affects results.
-        ("PE_CHECKPOINT_EVERY", "1".to_owned()),
     ];
     if islands >= 2 {
         envs.push(("PE_DRILL_ISLANDS", islands.to_string()));

@@ -16,6 +16,7 @@ use pe_hw::{CostScenario, ExactCostModel, TechLibrary};
 use printed_axc::{select_within_loss, RunControl, SearchEngine, Selected};
 
 use crate::format::render_table;
+use crate::knobs::Knobs;
 
 /// Normalized results of one method on one dataset.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -81,7 +82,8 @@ pub fn row(selected: &Selected, engines: &[Box<dyn SearchEngine>], tech: &TechLi
     let spec = costed.float.prepared.dataset.spec();
     let model = ExactCostModel::new(CostScenario::nominal(tech.clone()));
     let budget = selected.loss_budget;
-    let ctx = costed.search_context(&model, budget);
+    let mut ctx = costed.search_context(&model, budget);
+    ctx.eval_threads = Knobs::from_env().threads;
     let base_area = costed.baseline_report.area_cm2;
     let base_power = costed.baseline_report.power_mw;
 

@@ -37,6 +37,7 @@ pub mod fig4;
 pub mod fig5;
 pub mod format;
 pub mod island;
+pub mod knobs;
 pub mod robust;
 pub mod store_query;
 pub mod study;
@@ -45,4 +46,5 @@ pub mod table1;
 pub mod table2;
 pub mod table3;
 
+pub use knobs::Knobs;
 pub use study::{budget_or_exit, run_selected, run_studies, study_config, BudgetPreset};

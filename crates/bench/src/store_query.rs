@@ -30,6 +30,7 @@ use pe_store::{DesignStore, StoreWriter};
 use printed_axc::{select_from_store, store_front, Pipeline, RunManyOptions, Selected};
 
 use crate::format::render_table;
+use crate::knobs::Knobs;
 use crate::study::{study_config, BudgetPreset};
 use crate::sweep::SUPPLY_GRID;
 
@@ -122,7 +123,8 @@ fn run_suite(seed: u64, budget: BudgetPreset, opts: &RunManyOptions) -> (Vec<Sel
 pub fn run(budget: BudgetPreset, seed: u64) -> StoreBenchReport {
     // Deliberately NOT `run_many_options()`: a `PE_STORE` in the
     // environment must not contaminate the storeless baseline timing.
-    let opts = RunManyOptions::with_threads(printed_axc::eval::thread_budget());
+    let threads = Knobs::from_env().threads;
+    let opts = RunManyOptions::with_threads(threads);
     let (_, storeless_wall_ms) = run_suite(seed, budget, &opts);
 
     let store_path = PathBuf::from("target/experiments/store_query.jsonl");
@@ -131,7 +133,7 @@ pub fn run(budget: BudgetPreset, seed: u64) -> StoreBenchReport {
     }
     let _ = std::fs::remove_file(&store_path);
     let writer = Arc::new(StoreWriter::open(&store_path).expect("can open a fresh store"));
-    let mut store_opts = RunManyOptions::with_threads(printed_axc::eval::thread_budget());
+    let mut store_opts = RunManyOptions::with_threads(threads);
     store_opts.store = Some(Arc::clone(&writer));
     let (selected, store_wall_ms) = run_suite(seed, budget, &store_opts);
     let stats = writer.stats();

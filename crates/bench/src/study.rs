@@ -7,6 +7,7 @@
 //! byte-identical whether one thread or many executed them.
 
 use std::collections::HashMap;
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use pe_datasets::Dataset;
@@ -15,6 +16,8 @@ use pe_nsga::NsgaConfig;
 use printed_axc::{
     AxTrainConfig, DatasetStudy, Pipeline, ProgressEvent, RunManyOptions, Selected, StudyConfig,
 };
+
+use crate::knobs::Knobs;
 
 /// How much compute an experiment run may spend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,19 +30,6 @@ pub enum BudgetPreset {
 }
 
 impl BudgetPreset {
-    /// The preset named by the `PE_BUDGET` environment variable, or
-    /// `default` when it is unset.
-    ///
-    /// # Errors
-    ///
-    /// Any value but `quick` or `full` (see [`parse`](Self::parse)).
-    pub fn from_env(default: BudgetPreset) -> Result<Self, String> {
-        match std::env::var_os("PE_BUDGET") {
-            None => Ok(default),
-            Some(value) => Self::parse(&value.to_string_lossy()),
-        }
-    }
-
     /// Parse a preset name.
     ///
     /// # Errors
@@ -61,19 +51,13 @@ impl BudgetPreset {
 /// budget. One master seed governs the whole flow (each dataset runs at
 /// a seed derived from it), so tables regenerate bit-identically.
 ///
-/// The island-search knobs (`PE_ISLANDS`, `PE_MIGRATE_EVERY`) are
-/// applied on top via [`StudyConfig::with_env_islands`], so every bench
-/// bin honors them uniformly. Unset, the configuration keeps the
-/// single population — and its byte-identical artifacts and cache
-/// keys.
-///
-/// # Panics
-///
-/// Panics on an unparsable island knob; the bench bins check them
-/// first through [`budget_or_exit`].
+/// The island-search knobs (`PE_ISLANDS`, `PE_MIGRATE_EVERY`, see
+/// [`Knobs`]) are applied on top, so every bench bin honors them
+/// uniformly. Unset, the configuration keeps the single population —
+/// and its byte-identical artifacts and cache keys.
 #[must_use]
 pub fn study_config(budget: BudgetPreset, seed: u64) -> StudyConfig {
-    let config = match budget {
+    let mut config = match budget {
         BudgetPreset::Quick => StudyConfig {
             seed,
             ga: AxTrainConfig {
@@ -108,27 +92,18 @@ pub fn study_config(budget: BudgetPreset, seed: u64) -> StudyConfig {
             ..StudyConfig::default()
         },
     };
+    let knobs = Knobs::from_env();
+    config.islands = knobs.islands.unwrap_or(config.islands);
+    config.migration_every = knobs.migrate_every.unwrap_or(config.migration_every);
     config
-        .with_env_islands()
-        .unwrap_or_else(|err| panic!("{err}"))
 }
 
-/// The budget preset of a bench binary, with every knob the run reads
-/// checked up front: `PE_BUDGET` (see [`BudgetPreset::from_env`]), the
-/// count knobs of [`printed_axc::check_count_knobs`] and `PE_KERNEL`
-/// (see [`pe_mlp::columnar::kernel_from_env`]). A bad value prints the
-/// error and exits with status 2.
+/// The budget preset of a bench binary (`PE_BUDGET`, or `default`),
+/// with every knob checked up front (see [`Knobs::from_env`]: a bad
+/// value exits with status 2).
 #[must_use]
 pub fn budget_or_exit(default: BudgetPreset) -> BudgetPreset {
-    let checked = BudgetPreset::from_env(default).and_then(|budget| {
-        printed_axc::check_count_knobs()?;
-        pe_mlp::columnar::kernel_from_env()?;
-        Ok(budget)
-    });
-    checked.unwrap_or_else(|err| {
-        eprintln!("error: {err}");
-        std::process::exit(2)
-    })
+    Knobs::from_env().budget.unwrap_or(default)
 }
 
 /// Accumulates the per-generation
@@ -321,26 +296,24 @@ pub fn run_studies(budget: BudgetPreset, master_seed: u64) -> Vec<DatasetStudy> 
     studies
 }
 
-/// Worker-pool options honoring the shared `PE_THREADS` budget
-/// ([`printed_axc::eval::thread_budget`]: `0`/unset = one worker per
-/// core; `1` forces sequential execution — the output is byte-identical
-/// either way). The same budget governs the within-study batch
-/// evaluator, so one knob controls every pool the bench bins spin up.
-///
-/// `PE_CACHE_DIR` attaches a stage-cache directory: stage artifacts
-/// (and the search stage's crash-safety checkpoints) persist there, so
-/// a killed bench run resumes instead of restarting — with
-/// byte-identical outputs either way.
+/// Worker-pool options from the [`Knobs`]: the `PE_THREADS` budget
+/// (`1` forces sequential execution — the output is byte-identical
+/// either way), which also governs the within-study batch evaluator;
+/// the `PE_CACHE_DIR` stage cache, where stage artifacts and the search
+/// stage's crash-safety checkpoints (every `PE_CHECKPOINT_EVERY`
+/// generations) persist, so a killed bench run resumes instead of
+/// restarting; and the `PE_STORE` design store (see [`open_store`]).
 #[must_use]
 pub fn run_many_options() -> RunManyOptions {
-    let mut opts = RunManyOptions::with_threads(printed_axc::eval::thread_budget());
-    opts.store = env_store();
-    opts.cache_dir = std::env::var_os("PE_CACHE_DIR").map(std::path::PathBuf::from);
+    let knobs = Knobs::from_env();
+    let mut opts = RunManyOptions::with_threads(knobs.threads);
+    opts.store = knobs.store.as_deref().and_then(open_store);
+    opts.cache_dir = knobs.cache_dir;
+    opts.checkpoint_every = knobs.checkpoint_every;
     opts
 }
 
-/// The shared design-store writer requested through the `PE_STORE`
-/// environment variable (a JSON-lines store path), or `None`.
+/// The shared design-store writer of the `PE_STORE` path, or `None`.
 ///
 /// Ingest-only: designs are recorded as a pure side channel, never
 /// warm-started, so every artifact a `PE_STORE`-enabled bench run
@@ -351,13 +324,12 @@ pub fn run_many_options() -> RunManyOptions {
 /// record. A store that still cannot be opened is reported and
 /// skipped — a broken store file must never fail a bench run.
 #[must_use]
-pub fn env_store() -> Option<Arc<pe_store::StoreWriter>> {
-    let path = std::path::PathBuf::from(std::env::var_os("PE_STORE")?);
-    match pe_store::StoreWriter::open(&path) {
+pub fn open_store(path: &Path) -> Option<Arc<pe_store::StoreWriter>> {
+    match pe_store::StoreWriter::open(path) {
         Ok(writer) => Some(Arc::new(writer)),
         Err(err @ pe_store::StoreError::Corrupt { .. }) => {
             eprintln!("warning: PE_STORE store is corrupt ({err}); attempting salvage");
-            match pe_store::StoreWriter::open_salvaged(&path) {
+            match pe_store::StoreWriter::open_salvaged(path) {
                 Ok((writer, report)) => {
                     eprintln!("PE_STORE salvage: {report}");
                     Some(Arc::new(writer))

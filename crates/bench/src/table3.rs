@@ -22,6 +22,7 @@ use printed_axc::{
 };
 
 use crate::format::render_table;
+use crate::knobs::Knobs;
 
 /// One Table III row.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -156,7 +157,8 @@ pub fn measure(dataset: Dataset, budget: &Table3Budget, seed: u64) -> Table3Row 
 
     // (2) + (3): both GA trainers through the engine interface.
     let model = pe_hw::ExactCostModel::new(pe_hw::CostScenario::default());
-    let ctx = costed.search_context(&model, 0.05);
+    let mut ctx = costed.search_context(&model, 0.05);
+    ctx.eval_threads = Knobs::from_env().threads;
     let engines: [Box<dyn SearchEngine>; 2] = [
         Box::new(PlainGaEngine::new(nsga_cfg, Some(budget.subsample))),
         Box::new(NsgaEngine::new(ga_cfg)),

@@ -32,23 +32,15 @@ use std::path::{Path, PathBuf};
 use pe_nsga::SearchCheckpoint;
 use serde::{Deserialize, Serialize};
 
-/// Default checkpoint cadence in completed generations (the
-/// `PE_CHECKPOINT_EVERY` fallback).
+/// Default checkpoint cadence in completed generations.
 pub const DEFAULT_CHECKPOINT_EVERY: usize = 5;
 
-/// Checkpoint cadence from the `PE_CHECKPOINT_EVERY` environment
-/// variable: unset means [`DEFAULT_CHECKPOINT_EVERY`]; `0` disables
-/// checkpointing; any other value is the cadence in completed
-/// generations.
-///
-/// # Panics
-///
-/// Panics if the variable is set but not a non-negative integer
-/// (binaries check it first through
-/// [`check_count_knobs`](crate::check_count_knobs)).
+/// The checkpoint cadence a pipeline uses unless
+/// [`Study::checkpoint_every`](crate::Study::checkpoint_every) says
+/// otherwise: [`DEFAULT_CHECKPOINT_EVERY`].
 #[must_use]
 pub fn checkpoint_every() -> usize {
-    crate::flow::count_knob("PE_CHECKPOINT_EVERY").unwrap_or(DEFAULT_CHECKPOINT_EVERY)
+    DEFAULT_CHECKPOINT_EVERY
 }
 
 /// Where and how often a search persists its generation checkpoint.
@@ -69,12 +61,12 @@ pub struct CheckpointSpec {
 }
 
 impl CheckpointSpec {
-    /// A spec writing to `path` at the environment-configured cadence.
+    /// A spec writing to `path` at [`DEFAULT_CHECKPOINT_EVERY`].
     #[must_use]
     pub fn new(path: impl Into<PathBuf>) -> Self {
         Self {
             path: path.into(),
-            every: checkpoint_every(),
+            every: DEFAULT_CHECKPOINT_EVERY,
         }
     }
 

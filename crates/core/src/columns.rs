@@ -34,8 +34,7 @@
 //!   stays a single mutex.
 //!
 //! The shard count defaults to [`DEFAULT_SHARDS`], is overridable
-//! per-process with the `PE_CACHE_SHARDS` environment variable or
-//! per-cache with [`NeuronColumnCache::with_shards`], and is always a
+//! per cache with [`NeuronColumnCache::with_shards`], and is always a
 //! power of two in `1..=256`. Per-shard hit/miss/contention counters
 //! ([`ShardStats`], aggregated in [`ColumnCacheStats`]) make lock
 //! pressure observable; `contended` counts probes that found their
@@ -55,7 +54,7 @@
 
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
 use pe_arith::cache::FxHasher;
 use pe_arith::BoundedCache;
@@ -64,8 +63,8 @@ use pe_mlp::{AxNeuron, QReluCfg};
 /// The signature of the *dataset itself* — the input of layer 0.
 pub const ROOT_SIGNATURE: u64 = 0;
 
-/// Shard count used when neither `PE_CACHE_SHARDS` nor
-/// [`NeuronColumnCache::with_shards`] says otherwise.
+/// Shard count used unless [`NeuronColumnCache::with_shards`] says
+/// otherwise.
 pub const DEFAULT_SHARDS: usize = 8;
 
 /// Snapshot of a [`NeuronColumnCache`]'s counters, aggregated over all
@@ -209,17 +208,6 @@ fn clamp_shards(requested: usize) -> usize {
     requested.clamp(1, 256).next_power_of_two()
 }
 
-/// The process-wide default shard count: `PE_CACHE_SHARDS` (clamped to
-/// a power of two in `1..=256`) or [`DEFAULT_SHARDS`]. Read once; a
-/// value that is not a non-negative integer panics (binaries check it
-/// first through [`check_count_knobs`](crate::check_count_knobs)).
-fn env_shards() -> usize {
-    static SHARDS: OnceLock<usize> = OnceLock::new();
-    *SHARDS.get_or_init(|| {
-        crate::flow::count_knob("PE_CACHE_SHARDS").map_or(DEFAULT_SHARDS, clamp_shards)
-    })
-}
-
 /// Bounded, thread-shared, sharded memo of hidden-neuron output
 /// columns. See the [module docs](self).
 #[derive(Debug)]
@@ -236,11 +224,10 @@ pub struct NeuronColumnCache {
 
 impl NeuronColumnCache {
     /// A cache bounded to roughly `capacity` columns per eviction
-    /// generation, split across the process-default shard count
-    /// (`PE_CACHE_SHARDS` or [`DEFAULT_SHARDS`]).
+    /// generation, split across [`DEFAULT_SHARDS`] shards.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        Self::with_shards(capacity, env_shards())
+        Self::with_shards(capacity, DEFAULT_SHARDS)
     }
 
     /// A cache bounded to roughly `capacity` columns total, split

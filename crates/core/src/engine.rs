@@ -185,8 +185,8 @@ pub fn fingerprint_json<T: serde::Serialize>(value: &T) -> u64 {
 /// population, or an island archipelago with the same evaluation
 /// budget and byte-identical results at any worker count (see
 /// [`pe_nsga::IslandModel`]). The pipeline builds an archipelago
-/// whenever [`Study::islands`](crate::Study::islands) (or `PE_ISLANDS`
-/// via [`StudyConfig`](crate::flow::StudyConfig)) asks for ≥ 2
+/// whenever [`Study::islands`](crate::Study::islands) (or
+/// [`StudyConfig::islands`](crate::flow::StudyConfig::islands)) asks for ≥ 2
 /// islands; the engine's name and fingerprint then change, re-keying
 /// the `Searched`/`Selected` stage caches, while 0 or 1 island keeps
 /// the single-population name and keys.

@@ -19,17 +19,16 @@
 //!      order-indexed slots), so
 //!   3. evaluations return **in input order**, byte-identical to a
 //!      serial loop, regardless of thread count.
-//! * [`thread_budget`] is the one place the `PE_THREADS` knob is read —
-//!   shared by [`Pipeline::run_many`](crate::Pipeline::run_many)'s
-//!   dataset-level pool and the within-study batch evaluator, so
-//!   `PE_THREADS=1` forces the whole flow sequential and `0`/unset uses
-//!   one worker per core.
+//! * [`thread_budget`] (one worker per core) is the default of both
+//!   [`Pipeline::run_many`](crate::Pipeline::run_many)'s dataset-level
+//!   pool and the within-study batch evaluator; callers pass an
+//!   explicit count to force the flow sequential.
 //!
 //! Correctness rests on one contract: `evaluate` must be a pure,
 //! deterministic function of the genes (see [`IntProblem::evaluate`]).
 //! Under that contract neither caching nor parallelism can change any
 //! result — only how much work is re-done — which is what keeps
-//! `PE_THREADS=1` and `PE_THREADS=32` runs byte-identical.
+//! 1-thread and 32-thread runs byte-identical.
 //!
 //! Cache effectiveness is observable: [`CachedEvaluator::stats`]
 //! snapshots hit/miss counters, and the GA driver (`run_ga`) forwards
@@ -50,27 +49,15 @@ use pe_nsga::{
 use crate::checkpoint::CheckpointSpec;
 use crate::progress::{ProgressEvent, RunControl};
 
-/// Worker-thread budget for parallel evaluation, from the `PE_THREADS`
-/// environment variable: unset or `0` means one worker per available
-/// core; any other value is used verbatim. Always at least 1.
+/// Default worker-thread budget for parallel evaluation: one worker
+/// per available core, at least 1.
 ///
 /// Both [`Pipeline::run_many`](crate::Pipeline::run_many) and
 /// [`CachedEvaluator::new`] resolve their defaults through this single
-/// helper, so one knob governs every pool in the flow.
-///
-/// # Panics
-///
-/// Panics if `PE_THREADS` is set but not a non-negative integer
-/// (binaries check it first through
-/// [`check_count_knobs`](crate::check_count_knobs)).
+/// helper.
 #[must_use]
 pub fn thread_budget() -> usize {
-    match crate::flow::count_knob("PE_THREADS") {
-        None | Some(0) => {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        }
-        Some(t) => t,
-    }
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Default bound on memoized genomes per cache generation (a paper-size

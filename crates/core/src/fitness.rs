@@ -238,7 +238,7 @@ impl AxTrainProblem {
     /// [`NeuronColumnCache::with_shards`]). A concurrency knob only —
     /// any shard count yields byte-identical evaluations, which the
     /// sharded-cache determinism test pins down. The default cache
-    /// follows the `PE_CACHE_SHARDS` environment variable.
+    /// has [`DEFAULT_SHARDS`](crate::DEFAULT_SHARDS) shards.
     ///
     /// Call before evaluations start: the fresh cache begins cold.
     #[must_use]

@@ -58,13 +58,11 @@ pub struct StudyConfig {
     /// to — keeps the single population and its cache keys byte for
     /// byte; ≥ 2 makes
     /// [`NsgaEngine`](crate::engine::NsgaEngine) an archipelago, with
-    /// its own name and cache keys). The `PE_ISLANDS` knob is read by
-    /// the bench harness into this field (see [`islands_from_env`]).
+    /// its own name and cache keys).
     #[serde(default)]
     pub islands: usize,
     /// Migration cadence in completed generations (`0` = the
-    /// [`pe_nsga::DEFAULT_MIGRATION_EVERY`] default; `PE_MIGRATE_EVERY`
-    /// lands here, see [`migrate_every_from_env`]). Only meaningful
+    /// [`pe_nsga::DEFAULT_MIGRATION_EVERY`] default). Only meaningful
     /// with `islands >= 2`.
     #[serde(default)]
     pub migration_every: usize,
@@ -103,25 +101,6 @@ impl StudyConfig {
         }
     }
 
-    /// Apply the island-search environment knobs (`PE_ISLANDS`,
-    /// `PE_MIGRATE_EVERY`) on top of this configuration — what the
-    /// bench bins call right after choosing a budget preset. Unset
-    /// variables leave the corresponding field untouched.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the variable and the accepted form when either
-    /// is set but not a non-negative integer.
-    pub fn with_env_islands(mut self) -> Result<Self, String> {
-        if let Some(islands) = islands_from_env()? {
-            self.islands = islands;
-        }
-        if let Some(every) = migrate_every_from_env()? {
-            self.migration_every = every;
-        }
-        Ok(self)
-    }
-
     /// The SGD configuration this study uses for a given dataset.
     #[must_use]
     pub fn sgd_for(&self, spec: &DatasetSpec) -> TrainConfig {
@@ -132,76 +111,6 @@ impl StudyConfig {
             ..TrainConfig::default()
         }
     }
-}
-
-/// Island count from the `PE_ISLANDS` environment variable: unset
-/// means `None` (leave the configured value); `0`/`1` force the
-/// single-population path; ≥ 2 selects an archipelago.
-///
-/// # Errors
-///
-/// A message naming the variable and the accepted form when the value
-/// is not a non-negative integer.
-pub fn islands_from_env() -> Result<Option<usize>, String> {
-    count_from_env("PE_ISLANDS")
-}
-
-/// Migration cadence from the `PE_MIGRATE_EVERY` environment variable:
-/// unset means `None` (leave the configured value); `0` restores the
-/// [`pe_nsga::DEFAULT_MIGRATION_EVERY`] default.
-///
-/// # Errors
-///
-/// As [`islands_from_env`].
-pub fn migrate_every_from_env() -> Result<Option<usize>, String> {
-    count_from_env("PE_MIGRATE_EVERY")
-}
-
-/// Every count knob the library reads from the environment.
-const COUNT_KNOBS: [&str; 5] = [
-    "PE_ISLANDS",
-    "PE_MIGRATE_EVERY",
-    "PE_THREADS",
-    "PE_CHECKPOINT_EVERY",
-    "PE_CACHE_SHARDS",
-];
-
-/// Check every count knob the library reads from the environment
-/// (`PE_ISLANDS`, `PE_MIGRATE_EVERY`, `PE_THREADS`,
-/// `PE_CHECKPOINT_EVERY`, `PE_CACHE_SHARDS`) up front, so a binary can
-/// fail cleanly instead of panicking deep inside a run.
-///
-/// # Errors
-///
-/// A message naming the first knob that is set but not a non-negative
-/// integer, and the accepted form.
-pub fn check_count_knobs() -> Result<(), String> {
-    COUNT_KNOBS
-        .into_iter()
-        .try_for_each(|var| count_from_env(var).map(drop))
-}
-
-fn count_from_env(var: &str) -> Result<Option<usize>, String> {
-    std::env::var_os(var)
-        .map(|value| parse_count(var, &value.to_string_lossy()))
-        .transpose()
-}
-
-/// The count knob `var` for readers that cannot return an error:
-/// unset is `None`.
-///
-/// # Panics
-///
-/// Panics with the [`check_count_knobs`] message on a bad value.
-pub(crate) fn count_knob(var: &str) -> Option<usize> {
-    count_from_env(var).unwrap_or_else(|err| panic!("{err}"))
-}
-
-/// Parse the value of the count knob `var`.
-fn parse_count(var: &str, value: &str) -> Result<usize, String> {
-    value.parse::<usize>().map_err(|_| {
-        format!("{var}={value:?} is not a count; accepted values: a non-negative integer")
-    })
 }
 
 /// All artifacts of one dataset's evaluation.
@@ -252,22 +161,6 @@ impl DatasetStudy {
 mod tests {
     use super::*;
     use pe_hw::TechLibrary;
-
-    #[test]
-    fn count_knobs_parse_and_bad_values_are_errors() {
-        for var in ["PE_THREADS", "PE_CHECKPOINT_EVERY", "PE_CACHE_SHARDS"] {
-            assert!(COUNT_KNOBS.contains(&var), "{var} is not checked up front");
-        }
-        for var in COUNT_KNOBS {
-            assert_eq!(parse_count(var, "0"), Ok(0));
-            assert_eq!(parse_count(var, "4"), Ok(4));
-            for bad in ["bogus", "", "-1", "2.5", " 3"] {
-                let err = parse_count(var, bad).unwrap_err();
-                assert!(err.starts_with(&format!("{var}=")), "{err}");
-                assert!(err.contains("a non-negative integer"), "{err}");
-            }
-        }
-    }
 
     #[test]
     fn quick_study_on_breast_cancer_end_to_end() {

@@ -38,7 +38,7 @@
 //! * [`eval`] — the shared evaluation core: [`CachedEvaluator`] wraps
 //!   any `IntProblem` with a bounded genome memo and a deterministic
 //!   thread-pool batch path (results in input order, byte-identical to
-//!   serial), and [`thread_budget`] centralizes the `PE_THREADS` knob.
+//!   serial), and [`thread_budget`] is the default worker count.
 //! * [`checkpoint`] — crash-safe search checkpointing: the pipeline
 //!   persists a generation-level GA snapshot (atomically, next to the
 //!   `Searched` stage artifact) and resumes a killed or cancelled
@@ -115,9 +115,7 @@ pub use engine::{
 pub use error::FlowError;
 pub use eval::{thread_budget, CachedEvaluator, EvalCacheStats};
 pub use fitness::{AreaObjective, AxTrainProblem};
-pub use flow::{
-    check_count_knobs, islands_from_env, migrate_every_from_env, DatasetStudy, StudyConfig,
-};
+pub use flow::{DatasetStudy, StudyConfig};
 pub use genome::{GenomeSpec, LayerGenomeSpec};
 pub use init::{doped_seeds, doped_seeds_calibrated, doped_seeds_refined, refine_doped};
 pub use pareto::{

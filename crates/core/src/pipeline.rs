@@ -415,8 +415,7 @@ impl Study {
     }
 
     /// Flush a crash-safety checkpoint of the search stage every
-    /// `every` completed GA generations (default: the
-    /// `PE_CHECKPOINT_EVERY` environment knob, falling back to
+    /// `every` completed GA generations (default:
     /// [`DEFAULT_CHECKPOINT_EVERY`](crate::checkpoint::DEFAULT_CHECKPOINT_EVERY);
     /// `0` disables checkpointing). Requires a
     /// [`cache_dir`](Self::cache_dir) — the checkpoint lives next to
@@ -442,7 +441,7 @@ impl Study {
     /// byte (both run the same GA driver as archipelagos); ≥ 2 gives
     /// [`NsgaEngine`] its archipelago name and fingerprint, which
     /// re-key the `Searched`/`Selected` stage caches. Results are
-    /// byte-identical at any `PE_THREADS`. Overrides the island count
+    /// byte-identical at any worker count. Overrides the island count
     /// inside a [`config`](Self::config), if both are given.
     pub fn islands(mut self, n: usize) -> Self {
         self.islands = Some(n);
@@ -646,7 +645,7 @@ impl Study {
             store_sink,
             checkpoint_every: self
                 .checkpoint_every
-                .unwrap_or_else(crate::checkpoint::checkpoint_every),
+                .unwrap_or(crate::checkpoint::DEFAULT_CHECKPOINT_EVERY),
         })
     }
 }
@@ -1275,6 +1274,9 @@ impl Pipeline {
         if let Some(dir) = &opts.cache_dir {
             builder = builder.cache_dir(dir);
         }
+        if let Some(every) = opts.checkpoint_every {
+            builder = builder.checkpoint_every(every);
+        }
         if let Some(factory) = &opts.engine {
             builder = builder.engine(factory(dataset, &config));
         }
@@ -1304,11 +1306,14 @@ pub type EngineFactory =
 #[derive(Default)]
 pub struct RunManyOptions {
     /// Worker threads (`0` = the shared
-    /// [`thread_budget`](crate::eval::thread_budget) — the `PE_THREADS`
-    /// knob, one per core when unset — capped at the dataset count).
+    /// [`thread_budget`](crate::eval::thread_budget), one per core —
+    /// capped at the dataset count).
     pub threads: usize,
     /// Stage-cache directory shared by all datasets.
     pub cache_dir: Option<PathBuf>,
+    /// Checkpoint cadence of every study's search (see
+    /// [`Study::checkpoint_every`]; `None` keeps its default).
+    pub checkpoint_every: Option<usize>,
     /// Engine override: a factory called once per dataset with the
     /// derived-seed config (default: each pipeline's [`NsgaEngine`]
     /// built from that config's `ga` section).
@@ -1342,6 +1347,7 @@ impl std::fmt::Debug for RunManyOptions {
         f.debug_struct("RunManyOptions")
             .field("threads", &self.threads)
             .field("cache_dir", &self.cache_dir)
+            .field("checkpoint_every", &self.checkpoint_every)
             .field("engine", &self.engine.is_some())
             .field("progress", &self.progress.is_some())
             .field("cancel", &self.cancel.is_some())

@@ -42,12 +42,10 @@
 //!   ([`crate::simd`]), runtime feature-detected, falling back to the
 //!   scalar kernel per neuron wherever it cannot run.
 //!
-//! [`kernel_mode`] picks the process-wide default (the `PE_KERNEL`
-//! environment variable, `auto` preferring SIMD where available);
+//! [`kernel_mode`] picks the process-wide default (SIMD wherever it is
+//! compiled in and the host can run it);
 //! [`predictions_columns_with_kernel`] and the `*_kernel` accumulators
 //! accept an explicit kind for benches and parity tests.
-
-use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
@@ -447,25 +445,7 @@ pub enum KernelKind {
 }
 
 impl KernelKind {
-    /// Parse a `PE_KERNEL` value: `scalar` or `simd`, or `auto` (`None`:
-    /// the host's default, see [`kernel_mode`]).
-    ///
-    /// # Errors
-    ///
-    /// A message naming the variable and the accepted values, for
-    /// anything else.
-    pub fn parse(value: &str) -> Result<Option<KernelKind>, String> {
-        match value {
-            "scalar" => Ok(Some(KernelKind::Scalar)),
-            "simd" => Ok(Some(KernelKind::Simd)),
-            "auto" => Ok(None),
-            other => Err(format!(
-                "PE_KERNEL={other:?} is not a kernel; accepted values: scalar, simd, auto"
-            )),
-        }
-    }
-
-    /// Stable lowercase name (the `PE_KERNEL` spelling).
+    /// Stable lowercase name.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -475,45 +455,19 @@ impl KernelKind {
     }
 }
 
-/// The kernel the `PE_KERNEL` environment variable asks for: unset or
-/// `auto` is `None` (the host's default).
-///
-/// # Errors
-///
-/// As [`KernelKind::parse`], when the variable holds anything but
-/// `scalar`, `simd` or `auto`.
-pub fn kernel_from_env() -> Result<Option<KernelKind>, String> {
-    std::env::var_os("PE_KERNEL").map_or(Ok(None), |value| {
-        KernelKind::parse(&value.to_string_lossy())
-    })
-}
-
-/// The process-wide kernel mode: the `PE_KERNEL` environment variable
-/// (`scalar` / `simd`), or — unset or `auto` — [`KernelKind::Simd`]
-/// where the explicit kernels are available and [`KernelKind::Scalar`]
-/// everywhere else. Read once and cached: the mode is a performance
-/// knob only — both kernels are bit-exact with each other, so artifacts
-/// never depend on it.
-///
-/// # Panics
-///
-/// Panics with the [`kernel_from_env`] message if `PE_KERNEL` holds
-/// any other value; binaries check it up front to fail with a clean
-/// error instead.
+/// The process-wide kernel mode: [`KernelKind::Simd`] where the
+/// explicit kernels are compiled in and the host can run them (the
+/// `simd` feature on an x86_64 target, see [`crate::simd::available`]),
+/// [`KernelKind::Scalar`] everywhere else. A performance choice only —
+/// both kernels are bit-exact with each other, so artifacts never
+/// depend on it.
 #[must_use]
 pub fn kernel_mode() -> KernelKind {
-    static MODE: OnceLock<KernelKind> = OnceLock::new();
-    *MODE.get_or_init(|| {
-        kernel_from_env()
-            .unwrap_or_else(|err| panic!("{err}"))
-            .unwrap_or_else(|| {
-                if crate::simd::available() {
-                    KernelKind::Simd
-                } else {
-                    KernelKind::Scalar
-                }
-            })
-    })
+    if crate::simd::available() {
+        KernelKind::Simd
+    } else {
+        KernelKind::Scalar
+    }
 }
 
 /// [`accumulate_neuron_column`] through an explicit [`KernelKind`].
@@ -891,21 +845,6 @@ mod tests {
     #[should_panic(expected = "ragged row")]
     fn ragged_rows_are_rejected() {
         let _ = QuantMatrix::from_rows(&[vec![1u8, 2], vec![3u8]]);
-    }
-
-    #[test]
-    fn kernel_spellings_parse_and_anything_else_is_an_error() {
-        for kind in [KernelKind::Scalar, KernelKind::Simd] {
-            assert_eq!(KernelKind::parse(kind.name()), Ok(Some(kind)));
-        }
-        assert_eq!(KernelKind::parse("auto"), Ok(None));
-        // The two retired kernel names are errors, not aliases.
-        let retired = ["lut", concat!("bit", "sliced")];
-        for bad in retired.into_iter().chain(["bogus", "", "SIMD", " scalar"]) {
-            let err = KernelKind::parse(bad).unwrap_err();
-            assert!(err.starts_with("PE_KERNEL="), "{err}");
-            assert!(err.contains("accepted values: scalar, simd, auto"), "{err}");
-        }
     }
 
     #[test]

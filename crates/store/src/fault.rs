@@ -125,6 +125,17 @@ impl FaultPlan {
         Ok(FaultPlan { rules })
     }
 
+    /// Parse the value of the `PE_FAULT` variable: [`parse`](Self::parse)
+    /// with an error that names the variable.
+    ///
+    /// # Errors
+    ///
+    /// The first malformed rule, prefixed with the variable and value.
+    pub fn from_var(value: &str) -> Result<FaultPlan, String> {
+        Self::parse(value)
+            .map_err(|reason| format!("PE_FAULT={value:?} is not a fault plan: {reason}"))
+    }
+
     /// Whether the plan has any rules at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -176,19 +187,21 @@ struct Injector {
 
 fn injector() -> &'static Option<Injector> {
     static INJECTOR: OnceLock<Option<Injector>> = OnceLock::new();
-    INJECTOR.get_or_init(|| {
-        let text = std::env::var("PE_FAULT").ok()?;
-        match FaultPlan::parse(&text) {
-            Ok(plan) if !plan.is_empty() => Some(Injector {
-                plan,
-                arrivals: Mutex::new(HashMap::new()),
-            }),
-            Ok(_) => None,
-            Err(reason) => {
-                eprintln!("warning: PE_FAULT ignored: {reason}");
-                None
-            }
-        }
+    INJECTOR.get_or_init(|| armed(&std::env::var_os("PE_FAULT")?.to_string_lossy()))
+}
+
+/// The injector for a `PE_FAULT` value, `None` when the plan has no
+/// rules.
+///
+/// # Panics
+///
+/// Panics with the [`FaultPlan::from_var`] message on a plan that does
+/// not parse: a drill armed with a typo must not pass unarmed.
+fn armed(text: &str) -> Option<Injector> {
+    let plan = FaultPlan::from_var(text).unwrap_or_else(|err| panic!("{err}"));
+    (!plan.is_empty()).then(|| Injector {
+        plan,
+        arrivals: Mutex::new(HashMap::new()),
     })
 }
 
@@ -250,6 +263,12 @@ mod tests {
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "accepted `{bad}`");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "PE_FAULT=\"garbage\" is not a fault plan: fault rule `garbage`")]
+    fn an_unparsable_plan_panics_the_injector() {
+        let _ = armed("garbage");
     }
 
     #[test]
