@@ -6,6 +6,9 @@
 //!
 //! * the BreastCancer `Selected` artifact of a small study, at islands
 //!   unset / 2 / 4 and one or two evaluation threads;
+//! * the same study on the other four datasets (islands unset, one
+//!   thread), and a robust search (printed-EGFET variation, 4
+//!   Monte-Carlo trials) on BreastCancer and Cardio;
 //! * the same study cancelled at generation 3 and resumed from its
 //!   checkpoint, at islands unset and 2 (equal to the uninterrupted
 //!   digest);
@@ -27,7 +30,7 @@ use printed_mlps::axc::{
     RunControl, SearchEngine, Selected, StageKind, Study, StudyConfig,
 };
 use printed_mlps::datasets::Dataset;
-use printed_mlps::hw::{CostScenario, ExactCostModel};
+use printed_mlps::hw::{CostScenario, ExactCostModel, VariationModel};
 use printed_mlps::nsga::{Evaluation, IntProblem, Nsga2, NsgaConfig};
 
 /// The study of `tests/island_search.rs`: islands migrate at the
@@ -51,7 +54,11 @@ fn base_config(seed: u64) -> StudyConfig {
 }
 
 fn study(islands: usize, threads: usize) -> Study {
-    let study = Study::for_dataset(Dataset::BreastCancer)
+    dataset_study(Dataset::BreastCancer, islands, threads)
+}
+
+fn dataset_study(dataset: Dataset, islands: usize, threads: usize) -> Study {
+    let study = Study::for_dataset(dataset)
         .config(base_config(11))
         .eval_threads(threads);
     if islands > 0 {
@@ -97,6 +104,36 @@ fn selected_lines() -> Vec<String> {
                 selected_digest(&selected)
             ));
         }
+    }
+    lines
+}
+
+/// The other four datasets' `Selected` digests (islands unset, one
+/// thread), then a robust search under the printed-EGFET variation
+/// model with 4 Monte-Carlo trials on BreastCancer and Cardio.
+fn dataset_lines() -> Vec<String> {
+    let run = |study: Study| {
+        let selected = study
+            .finish()
+            .expect("valid study")
+            .run()
+            .expect("uncancelled study succeeds");
+        selected_digest(&selected)
+    };
+    let mut lines = Vec::new();
+    for dataset in [
+        Dataset::Cardio,
+        Dataset::Pendigits,
+        Dataset::RedWine,
+        Dataset::WhiteWine,
+    ] {
+        let digest = run(dataset_study(dataset, 0, 1));
+        lines.push(format!("selected dataset={dataset:?} {digest:016x}"));
+    }
+    for dataset in [Dataset::BreastCancer, Dataset::Cardio] {
+        let digest =
+            run(dataset_study(dataset, 0, 1).variation(VariationModel::printed_egfet(), 4));
+        lines.push(format!("robust dataset={dataset:?} {digest:016x}"));
     }
     lines
 }
@@ -257,6 +294,7 @@ fn ga_outcomes_reproduce_the_golden_digests() {
         .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
         .collect();
     let mut computed = selected_lines();
+    computed.extend(dataset_lines());
     computed.extend(resumed_lines());
     computed.push(plain_ga_line());
     computed.push(nsga2_line());
