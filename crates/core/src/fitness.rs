@@ -12,12 +12,12 @@ use std::sync::Arc;
 use pe_arith::{AdderAreaEstimator, MemoAreaEstimator};
 use pe_hw::variation::{RobustStat, VariationConfig, VariationModel};
 use pe_hw::{argmax_gate_counts, qrelu_gate_counts, CostScenario};
-use pe_mlp::columnar::{self, ColumnMatrix, QuantMatrix};
+use pe_mlp::columnar::{self, QuantMatrix};
 use pe_mlp::InferenceScratch;
 use pe_nsga::{Evaluation, IntProblem};
 use serde::{Deserialize, Serialize};
 
-use crate::columns::{ColumnCacheStats, NeuronColumnCache, ROOT_SIGNATURE};
+use crate::columns::{ColumnCacheStats, NeuronColumnCache};
 use crate::genome::GenomeSpec;
 
 /// Which area model the GA minimizes.
@@ -51,12 +51,12 @@ impl Default for AreaObjective {
 /// evaluation.
 ///
 /// Internally the accuracy objective runs on the **columnar engine**:
-/// the dataset is transposed once into a [`ColumnMatrix`], every
+/// the dataset is transposed once into shared input columns, every
 /// weight is one branch-free pass over its input column
-/// ([`pe_mlp::columnar`]), and neuron output columns are memoized in a
-/// population-level [`NeuronColumnCache`] shared across clones and
-/// threads — sibling genomes only pay for the neurons mutation
-/// actually touched. Per-neuron gate counts are likewise memoized by
+/// ([`pe_mlp::columnar`]), and first-hidden-layer output columns are
+/// memoized in a population-level [`NeuronColumnCache`] shared across
+/// clones and threads — sibling genomes only pay for the neurons
+/// mutation actually touched. Per-neuron gate counts are likewise memoized by
 /// weight signature ([`MemoAreaEstimator`]). The columnar path is
 /// bit-exact with the per-row oracle ([`score_with`](Self::score_with),
 /// i.e. [`pe_mlp::AxMlp::predict_with`] per sample), which the parity
@@ -65,8 +65,9 @@ impl Default for AreaObjective {
 pub struct AxTrainProblem {
     spec: GenomeSpec,
     rows: QuantMatrix,
-    /// The transposed dataset the columnar kernels stream over.
-    columns: ColumnMatrix,
+    /// The dataset's feature columns, which the columnar kernels
+    /// stream over.
+    inputs: Vec<Arc<[u8]>>,
     labels: Vec<usize>,
     estimator: MemoAreaEstimator,
     /// Population-level neuron-column memo (shared by clones).
@@ -94,19 +95,16 @@ pub struct AxTrainProblem {
 }
 
 /// Precomputed Monte-Carlo state of a variation-aware problem: the
-/// trial-major extended dataset (transposed once) plus the per-trial
-/// seeds. Built by [`AxTrainProblem::with_variation`].
+/// per-trial seeds and input-perturbed feature columns. Built by
+/// [`AxTrainProblem::with_variation`].
 #[derive(Debug, Clone)]
 struct RobustContext {
     model: VariationModel,
     statistic: RobustStat,
     /// `trial_seed(master, t)` for `t = 0..M`.
     trial_seeds: Vec<u64>,
-    /// The extended dataset columns: trial `t`'s segment is
-    /// `[t·n, (t+1)·n)` of every feature column.
-    columns: ColumnMatrix,
-    /// Samples per trial (= the nominal dataset's row count).
-    segment: usize,
+    /// Trial `t`'s perturbed feature columns.
+    inputs: Vec<Vec<Arc<[u8]>>>,
 }
 
 impl AxTrainProblem {
@@ -114,8 +112,8 @@ impl AxTrainProblem {
     ///
     /// `rows`/`labels` are the (possibly subsampled) quantized training
     /// split; `baseline_accuracy` is the exact baseline's accuracy used
-    /// for the feasibility bound. The dataset is transposed to the
-    /// columnar layout once, here, and a fresh neuron-column cache
+    /// for the feasibility bound. The dataset is transposed to shared
+    /// input columns once, here, and a fresh neuron-column cache
     /// (sized to the sample count) is attached.
     ///
     /// # Panics
@@ -134,14 +132,14 @@ impl AxTrainProblem {
     ) -> Self {
         assert_eq!(rows.len(), labels.len());
         assert!(!rows.is_empty(), "fitness data must be non-empty");
-        let columns = rows.columns();
+        let inputs = input_columns(&rows);
         let col_cache = Arc::new(NeuronColumnCache::for_samples(rows.len()));
         let scenario = CostScenario::default();
         let power_per_ge_at_supply = power_per_ge_at_supply(&scenario);
         Self {
             spec,
             rows,
-            columns,
+            inputs,
             labels,
             estimator: MemoAreaEstimator::new(AdderAreaEstimator::paper()),
             col_cache,
@@ -186,12 +184,12 @@ impl AxTrainProblem {
     /// Optimize the robust accuracy statistic over Monte-Carlo
     /// variation trials instead of the nominal accuracy.
     ///
-    /// The M perturbed trials are appended as extra sample segments of
-    /// the columnar engine (one input-perturbed dataset copy per
-    /// trial, built here, transposed once), so a robust evaluation
-    /// costs ~M× a nominal one *in total* — per-trial hidden columns
-    /// are memoized in the shared [`NeuronColumnCache`] under device
-    /// slot `t + 1` exactly like nominal columns under slot `0`.
+    /// Each of the M trials gets its own input-perturbed copy of the
+    /// dataset's feature columns, built here once, and runs the same
+    /// cached layer walk as a nominal evaluation, so a robust
+    /// evaluation costs ~M× a nominal one — per-trial first-layer
+    /// columns are memoized in the shared [`NeuronColumnCache`] under
+    /// device slot `t + 1` exactly like nominal columns under slot `0`.
     /// `master_seed` keys the deterministic per-trial samplers
     /// ([`pe_hw::variation::trial_seed`]).
     ///
@@ -208,14 +206,19 @@ impl AxTrainProblem {
         config.validate().expect("a valid variation config");
         let input_bits = self.spec.layers().first().map_or(4, |l| l.input_bits);
         let trial_seeds = crate::robust::trial_seeds(master_seed, config.trials);
-        let extended =
-            crate::robust::extended_matrix(&self.rows, &config.model, &trial_seeds, input_bits);
+        let inputs = trial_seeds
+            .iter()
+            .map(|&seed| {
+                let perturbed =
+                    crate::robust::extended_matrix(&self.rows, &config.model, &[seed], input_bits);
+                input_columns(&perturbed)
+            })
+            .collect();
         self.robust = Some(RobustContext {
             model: config.model,
             statistic: config.statistic,
             trial_seeds,
-            columns: extended.columns(),
-            segment: self.rows.len(),
+            inputs,
         });
         self
     }
@@ -358,191 +361,54 @@ impl AxTrainProblem {
     /// statistic over the Monte-Carlo trials. With a zero-variance
     /// model the two are equal bit for bit.
     fn fitness_accuracy(&self, mlp: &pe_mlp::AxMlp, scratch: &mut ColumnarEvalScratch) -> f64 {
+        let n = self.labels.len() as f64;
         match &self.robust {
-            Some(robust) => self.robust_accuracy(mlp, robust, scratch),
-            None => self.columnar_accuracy(mlp, scratch),
-        }
-    }
-
-    /// The robust statistic over the per-trial accuracies of the
-    /// extended columns (one trial = one segment; see
-    /// [`with_variation`](Self::with_variation)).
-    fn robust_accuracy(
-        &self,
-        mlp: &pe_mlp::AxMlp,
-        robust: &RobustContext,
-        scratch: &mut ColumnarEvalScratch,
-    ) -> f64 {
-        let n = robust.segment;
-        if n == 0 {
-            return 0.0; // the workspace-wide empty-data convention
-        }
-        let accs: Vec<f64> = (0..robust.trial_seeds.len())
-            .map(|t| self.trial_hits(mlp, robust, t, scratch) as f64 / n as f64)
-            .collect();
-        robust.statistic.statistic(&accs)
-    }
-
-    /// One Monte-Carlo trial's hit count: the same cached layer walk
-    /// as [`columnar_accuracy`](Self::columnar_accuracy), but over
-    /// trial `t`'s segment of the extended columns, with the trial's
-    /// per-device gain/offset draws applied to every accumulator
-    /// pre-activation. Hidden columns are cached under device slot
-    /// `t + 1` *and* the neuron's position within its layer (the draw
-    /// is keyed by both), so they never alias nominal (slot `0`)
-    /// columns, duplicate specs at different positions never alias
-    /// each other, and population siblings still share everything
-    /// mutation didn't touch. The output layer stays at i64 width — the draw
-    /// adjustment is i64 arithmetic — and remains uncached like the
-    /// nominal path's.
-    fn trial_hits(
-        &self,
-        mlp: &pe_mlp::AxMlp,
-        robust: &RobustContext,
-        trial: usize,
-        scratch: &mut ColumnarEvalScratch,
-    ) -> usize {
-        let n = robust.segment;
-        let base = trial * n;
-        let tseed = robust.trial_seeds[trial];
-        let device = trial as u32 + 1;
-        let model = &robust.model;
-        let cache = &*self.col_cache;
-        let kernel = columnar::kernel_mode();
-        let mut signature = ROOT_SIGNATURE;
-        let mut pending_signature: Option<(&[pe_mlp::AxNeuron], pe_mlp::QReluCfg)> = None;
-        let ColumnarEvalScratch {
-            acc,
-            narrow,
-            col,
-            out_accs,
-            best_value,
-            best_index,
-            act,
-            next_act,
-            ..
-        } = scratch;
-        act.clear();
-        // The trial's segment of every extended feature column, built
-        // once per trial; deeper layers pass their `Arc` column storage
-        // to the (generic) kernels directly.
-        let refs: Vec<&[u8]> = (0..robust.columns.width())
-            .map(|f| &robust.columns.col(f)[base..base + n])
-            .collect();
-        let mut first = true;
-        for (li, layer) in mlp.layers.iter().enumerate() {
-            match layer.qrelu {
-                Some(q) => {
-                    if let Some((prev, prev_q)) = pending_signature.take() {
-                        signature = cache.layer_signature(li - 1, signature, prev_q, prev);
-                    }
-                    next_act.clear();
-                    for (ni, neuron) in layer.neurons.iter().enumerate() {
-                        let draw = model.device_draw(tseed, li, ni, layer.input_bits);
-                        // The draw above depends on `ni`, so the cache
-                        // key must too: identical specs at different
-                        // positions are *different* perturbed columns.
-                        next_act.push(cache.hidden_column(
-                            li,
-                            signature,
-                            layer.input_bits,
-                            q,
-                            device,
-                            ni as u32,
-                            neuron,
-                            || {
-                                if first {
-                                    columnar::accumulate_neuron_column_kernel(
-                                        kernel, neuron, &refs, n, acc, narrow,
-                                    );
-                                } else {
-                                    columnar::accumulate_neuron_column_kernel(
-                                        kernel,
-                                        neuron,
-                                        &act[..],
-                                        n,
-                                        acc,
-                                        narrow,
-                                    );
-                                }
-                                if !draw.is_identity() {
-                                    for a in acc.iter_mut() {
-                                        *a = draw.apply(*a);
-                                    }
-                                }
-                                columnar::qrelu_column(q, acc, col);
-                                Arc::from(col.as_slice())
-                            },
-                        ));
-                    }
-                    pending_signature = Some((&layer.neurons, q));
-                    std::mem::swap(act, next_act);
-                    first = false;
-                }
-                None => {
-                    let count = layer.neurons.len();
-                    out_accs.resize(count, Vec::new());
-                    for (ni, (neuron, out)) in
-                        layer.neurons.iter().zip(out_accs.iter_mut()).enumerate()
-                    {
-                        if first {
-                            columnar::accumulate_neuron_column_kernel(
-                                kernel, neuron, &refs, n, acc, narrow,
-                            );
-                        } else {
-                            columnar::accumulate_neuron_column_kernel(
-                                kernel,
-                                neuron,
-                                &act[..],
-                                n,
-                                acc,
-                                narrow,
-                            );
-                        }
-                        let draw = model.device_draw(tseed, li, ni, layer.input_bits);
-                        if !draw.is_identity() {
-                            for a in acc.iter_mut() {
-                                *a = draw.apply(*a);
-                            }
-                        }
-                        std::mem::swap(acc, out);
-                    }
-                    return argmax_hits(&out_accs[..count], &self.labels, best_index, best_value);
-                }
+            None => self.hits(mlp, None, scratch) as f64 / n,
+            Some(robust) => {
+                let accs: Vec<f64> = (0..robust.trial_seeds.len())
+                    .map(|t| self.hits(mlp, Some(t), scratch) as f64 / n)
+                    .collect();
+                robust.statistic.statistic(&accs)
             }
         }
-        // Trailing-QReLU topology: argmax over the final activations.
-        let preds = if first {
-            columnar::argmax_columns(&refs, n)
-        } else {
-            columnar::argmax_columns(&act[..], n)
-        };
-        preds
-            .iter()
-            .zip(&self.labels)
-            .filter(|&(p, l)| p == l)
-            .count()
     }
 
-    /// Training accuracy of a decoded network on the columnar engine:
-    /// hidden and output neuron columns come from the shared
-    /// [`NeuronColumnCache`] when the population has already computed
-    /// them; misses run the [`kernel_mode`](columnar::kernel_mode)
-    /// column kernel over the transposed dataset. Bit-exact with the
-    /// per-row oracle.
-    fn columnar_accuracy(&self, mlp: &pe_mlp::AxMlp, scratch: &mut ColumnarEvalScratch) -> f64 {
+    /// Training-set hit count of a decoded network on the columnar
+    /// engine, nominal (`trial` `None`) or under Monte-Carlo trial `t`:
+    /// the trial's perturbed input columns, with its per-device
+    /// gain/offset draw applied to every accumulator pre-activation.
+    /// Bit-exact with the per-row oracle and with
+    /// [`crate::robust::mc_accuracy`].
+    ///
+    /// First-hidden-layer columns come from the shared
+    /// [`NeuronColumnCache`] under device slot `0` (nominal) or `t + 1`
+    /// (trial `t`). A trial's draw is keyed by the neuron's position,
+    /// so trial columns are cached by position too; nominal columns
+    /// use position `0`, so duplicate specs share one entry. Deeper
+    /// layers and the output layer are computed directly into scratch.
+    /// The output layer runs at i32 width when the evaluation is
+    /// nominal and every output neuron [`fits_i32`](columnar::fits_i32);
+    /// a trial's draw is i64 arithmetic, so trials stay at i64.
+    fn hits(
+        &self,
+        mlp: &pe_mlp::AxMlp,
+        trial: Option<usize>,
+        scratch: &mut ColumnarEvalScratch,
+    ) -> usize {
         let n = self.labels.len();
-        if n == 0 {
-            return 0.0; // the workspace-wide empty-data convention
-        }
-        let cache = &*self.col_cache;
         let kernel = columnar::kernel_mode();
-        let mut signature = ROOT_SIGNATURE;
-        // The previous *hidden* layer's neurons, not yet interned: the
-        // signature is only needed to key columns of a deeper hidden
-        // layer, so interning is deferred until one actually appears
-        // (the ubiquitous one-hidden-layer topology never pays for it).
-        let mut pending_signature: Option<(&[pe_mlp::AxNeuron], pe_mlp::QReluCfg)> = None;
+        let robust = trial.map(|t| {
+            let robust = self.robust.as_ref().expect("trials need with_variation");
+            (&robust.model, robust.trial_seeds[t], &robust.inputs[t])
+        });
+        let device = trial.map_or(0, |t| t as u32 + 1);
+        // The trial's draw for one neuron; `None` for the nominal
+        // device and for exact no-op draws, which take the fused kernel.
+        let draw = |li: usize, ni: usize, input_bits: u32| {
+            robust
+                .map(|(model, seed, _)| model.device_draw(seed, li, ni, input_bits))
+                .filter(|d| !d.is_identity())
+        };
         let ColumnarEvalScratch {
             acc,
             narrow,
@@ -557,127 +423,72 @@ impl AxTrainProblem {
             ..
         } = scratch;
         act.clear();
-        // Layer 0's input columns, built once per evaluation into a
-        // small ref vector; deeper layers pass their `Arc` column
-        // storage to the (generic) kernels directly — no per-layer ref
-        // vector at all.
-        let mut refs: Vec<&[u8]> = Vec::with_capacity(self.columns.width());
-        self.columns.col_refs_into(&mut refs);
-        let mut first = true;
+        act.extend_from_slice(robust.map_or(&self.inputs, |(_, _, inputs)| inputs));
         for (li, layer) in mlp.layers.iter().enumerate() {
-            match layer.qrelu {
-                Some(q) => {
-                    if let Some((prev, prev_q)) = pending_signature.take() {
-                        signature = cache.layer_signature(li - 1, signature, prev_q, prev);
+            let inputs: &[Arc<[u8]>] = act;
+            let Some(q) = layer.qrelu else {
+                // Output (argmax) layer: uncached — its accumulators
+                // depend on *every* hidden column, and exact repeats are
+                // already absorbed by the genome memo upstream.
+                let count = layer.neurons.len();
+                if trial.is_none() && layer.neurons.iter().all(columnar::fits_i32) {
+                    out_narrow.resize(count, Vec::new());
+                    for (neuron, out) in layer.neurons.iter().zip(out_narrow.iter_mut()) {
+                        columnar::accumulate_neuron_column_narrow_kernel(
+                            kernel, neuron, inputs, n, narrow,
+                        );
+                        std::mem::swap(narrow, out);
                     }
-                    next_act.clear();
-                    for neuron in &layer.neurons {
-                        next_act.push(cache.hidden_column(
-                            li,
-                            signature,
-                            layer.input_bits,
-                            q,
-                            0, // the nominal device…
-                            0, // …whose columns are position-independent
-                            neuron,
-                            || {
-                                if first {
-                                    columnar::hidden_column_kernel(
-                                        kernel, neuron, &refs, n, q, acc, narrow, col,
-                                    );
-                                } else {
-                                    columnar::hidden_column_kernel(
-                                        kernel,
-                                        neuron,
-                                        &act[..],
-                                        n,
-                                        q,
-                                        acc,
-                                        narrow,
-                                        col,
-                                    );
-                                }
-                                Arc::from(col.as_slice())
-                            },
-                        ));
-                    }
-                    pending_signature = Some((&layer.neurons, q));
-                    std::mem::swap(act, next_act);
-                    first = false;
+                    let accs = &out_narrow[..count];
+                    return argmax_hits_narrow(kernel, accs, &self.labels, best_index, best_narrow);
                 }
-                None => {
-                    // Output (argmax) layer: computed directly into
-                    // scratch, uncached — its accumulators depend on
-                    // *every* hidden column, so any upstream mutation
-                    // would invalidate them anyway, and exact repeats
-                    // are already absorbed by the genome memo upstream.
-                    // The whole layer stays at i32 width (accumulate,
-                    // argmax) whenever every neuron provably fits —
-                    // bit-exact, and twice the SIMD lanes.
-                    let count = layer.neurons.len();
-                    let hits = if layer.neurons.iter().all(columnar::fits_i32) {
-                        out_narrow.resize(count, Vec::new());
-                        for (neuron, out) in layer.neurons.iter().zip(out_narrow.iter_mut()) {
-                            if first {
-                                columnar::accumulate_neuron_column_narrow_kernel(
-                                    kernel, neuron, &refs, n, narrow,
-                                );
-                            } else {
-                                columnar::accumulate_neuron_column_narrow_kernel(
-                                    kernel,
-                                    neuron,
-                                    &act[..],
-                                    n,
-                                    narrow,
-                                );
-                            }
-                            std::mem::swap(narrow, out);
-                        }
-                        argmax_hits_narrow(
-                            kernel,
-                            &out_narrow[..count],
-                            &self.labels,
-                            best_index,
-                            best_narrow,
-                        )
+                out_accs.resize(count, Vec::new());
+                for (ni, out) in out_accs[..count].iter_mut().enumerate() {
+                    let neuron = &layer.neurons[ni];
+                    columnar::accumulate_neuron_column_kernel(
+                        kernel, neuron, inputs, n, acc, narrow,
+                    );
+                    if let Some(d) = draw(li, ni, layer.input_bits) {
+                        acc.iter_mut().for_each(|a| *a = d.apply(*a));
+                    }
+                    std::mem::swap(acc, out);
+                }
+                return argmax_hits(&out_accs[..count], &self.labels, best_index, best_value);
+            };
+            next_act.clear();
+            for (ni, neuron) in layer.neurons.iter().enumerate() {
+                let mut compute = || {
+                    if let Some(d) = draw(li, ni, layer.input_bits) {
+                        columnar::accumulate_neuron_column_kernel(
+                            kernel, neuron, inputs, n, acc, narrow,
+                        );
+                        acc.iter_mut().for_each(|a| *a = d.apply(*a));
+                        columnar::qrelu_column(q, acc, col);
                     } else {
-                        out_accs.resize(count, Vec::new());
-                        for (neuron, out) in layer.neurons.iter().zip(out_accs.iter_mut()) {
-                            if first {
-                                columnar::accumulate_neuron_column_kernel(
-                                    kernel, neuron, &refs, n, acc, narrow,
-                                );
-                            } else {
-                                columnar::accumulate_neuron_column_kernel(
-                                    kernel,
-                                    neuron,
-                                    &act[..],
-                                    n,
-                                    acc,
-                                    narrow,
-                                );
-                            }
-                            std::mem::swap(acc, out);
-                        }
-                        argmax_hits(&out_accs[..count], &self.labels, best_index, best_value)
-                    };
-                    return hits as f64 / n as f64;
-                }
+                        columnar::hidden_column_kernel(
+                            kernel, neuron, inputs, n, q, acc, narrow, col,
+                        );
+                    }
+                    Arc::from(col.as_slice())
+                };
+                // Only the first layer's inputs are the dataset itself.
+                next_act.push(if li == 0 {
+                    let position = if trial.is_some() { ni as u32 } else { 0 };
+                    let cache = &self.col_cache;
+                    cache.hidden_column(layer.input_bits, q, device, position, neuron, compute)
+                } else {
+                    compute()
+                });
             }
+            std::mem::swap(act, next_act);
         }
         // A network whose last layer has a QReLU (unusual): argmax over
         // the final activation columns, mirroring the row oracle.
-        let preds = if first {
-            columnar::argmax_columns(&refs, n)
-        } else {
-            columnar::argmax_columns(&act[..], n)
-        };
-        let hits = preds
+        columnar::argmax_columns(&act[..], n)
             .iter()
             .zip(&self.labels)
             .filter(|&(p, l)| p == l)
-            .count();
-        hits as f64 / n as f64
+            .count()
     }
 
     /// Assemble the Eq. (3) [`Evaluation`] from a scored
@@ -736,7 +547,8 @@ impl AxTrainProblem {
         let area = self.area_of(&mlp);
         if let Some(sink) = &self.sink {
             let (nominal, robust) = if self.robust.is_some() {
-                (self.columnar_accuracy(&mlp, scratch), Some(accuracy))
+                let hits = self.hits(&mlp, None, scratch);
+                (hits as f64 / self.labels.len() as f64, Some(accuracy))
             } else {
                 (accuracy, None)
             };
@@ -805,6 +617,15 @@ impl AxTrainProblem {
     }
 }
 
+/// A dataset's feature columns as shared column storage: the input of
+/// the first layer of every columnar walk.
+fn input_columns(rows: &QuantMatrix) -> Vec<Arc<[u8]>> {
+    let columns = rows.columns();
+    (0..columns.width())
+        .map(|f| Arc::from(columns.col(f)))
+        .collect()
+}
+
 /// Estimated mW per gate equivalent at a scenario's operating supply.
 fn power_per_ge_at_supply(scenario: &CostScenario) -> f64 {
     scenario.tech.power_per_ge_mw * scenario.vdd.power_scale(scenario.supply_v)
@@ -824,12 +645,11 @@ fn has_constant_hidden_neuron(mlp: &pe_mlp::AxMlp) -> bool {
 }
 
 /// Reusable buffers for the cached columnar scoring path (accumulator
-/// columns, activation column). One per worker thread / per
-/// batch; grows to the dataset size once. `act`/`next_act` are the
-/// batch-scoped arena for the per-wave activation column sets: the
-/// `Arc` handles are cheap clones of cached columns, and keeping the
-/// two `Vec`s here means the layer walk stops allocating a fresh
-/// column-set vector per layer per genome.
+/// columns, activation column). One per worker thread; grows to the
+/// dataset size once. `act`/`next_act` hold a layer's input and output
+/// column sets: the `Arc` handles are cheap clones of input or cached
+/// columns, and keeping the two `Vec`s here means the layer walk stops
+/// allocating a fresh column-set vector per layer per genome.
 #[derive(Debug, Default)]
 struct ColumnarEvalScratch {
     acc: Vec<i64>,
@@ -926,19 +746,6 @@ impl IntProblem for AxTrainProblem {
                 std::cell::RefCell::new(ColumnarEvalScratch::default());
         }
         SCRATCH.with(|scratch| self.evaluate_with(genes, &mut scratch.borrow_mut()))
-    }
-
-    /// Native batch path: one scratch for the whole wave, every genome
-    /// scored through the shared neuron-column cache (so intra-wave
-    /// siblings reuse each other's columns immediately). Results are in
-    /// input order and identical to per-genome
-    /// [`evaluate`](IntProblem::evaluate) calls.
-    fn evaluate_batch(&self, genomes: &[Vec<u32>]) -> Vec<Evaluation> {
-        let mut scratch = ColumnarEvalScratch::default();
-        genomes
-            .iter()
-            .map(|genes| self.evaluate_with(genes, &mut scratch))
-            .collect()
     }
 }
 
@@ -1109,32 +916,64 @@ mod tests {
     /// A two-layer (hidden QReLU + argmax) problem over the same
     /// threshold data, exercising the cached hidden-column path.
     fn deep_problem() -> (AxTrainProblem, QuantMatrix, Vec<usize>) {
-        let spec = GenomeSpec::new(
-            vec![
-                LayerGenomeSpec {
-                    fan_in: 1,
-                    neurons: 3,
-                    input_bits: 4,
-                    qrelu: Some(pe_mlp::QReluCfg {
-                        out_bits: 4,
-                        shift: 0,
-                    }),
-                },
-                LayerGenomeSpec {
-                    fan_in: 3,
-                    neurons: 2,
-                    input_bits: 4,
-                    qrelu: None,
-                },
-            ],
-            8,
-            8,
-        );
+        layered_problem(&[3])
+    }
+
+    /// The threshold data behind QReLU hidden layers of the given
+    /// widths and a two-neuron argmax layer.
+    fn layered_problem(hidden: &[usize]) -> (AxTrainProblem, QuantMatrix, Vec<usize>) {
+        let q = pe_mlp::QReluCfg {
+            out_bits: 4,
+            shift: 0,
+        };
+        let widths: Vec<usize> = std::iter::once(1).chain(hidden.iter().copied()).collect();
+        let mut layers: Vec<LayerGenomeSpec> = widths
+            .windows(2)
+            .map(|w| LayerGenomeSpec {
+                fan_in: w[0],
+                neurons: w[1],
+                input_bits: 4,
+                qrelu: Some(q),
+            })
+            .collect();
+        layers.push(LayerGenomeSpec {
+            fan_in: widths[widths.len() - 1],
+            neurons: 2,
+            input_bits: 4,
+            qrelu: None,
+        });
+        let spec = GenomeSpec::new(layers, 8, 8);
         let rows: Vec<Vec<u8>> = (0..16u8).map(|v| vec![v]).collect();
         let labels: Vec<usize> = (0..16).map(|v| usize::from(v > 7)).collect();
         let matrix = QuantMatrix::from_rows(&rows);
         let p = AxTrainProblem::new(spec, matrix.clone(), labels.clone(), 1.0, 1.0);
         (p, matrix, labels)
+    }
+
+    #[test]
+    fn only_first_hidden_layer_columns_are_cached() {
+        // Two hidden layers: the second layer's inputs are the first
+        // layer's columns, not the dataset, so only the three
+        // first-layer neurons ever reach the column cache.
+        let (p, _, _) = layered_problem(&[3, 2]);
+        let genes: Vec<u32> = p
+            .bounds()
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| (i as u32 * 7 + 3) % b)
+            .collect();
+        let first = p.evaluate(&genes);
+        let cold = p.column_cache_stats();
+        assert_eq!(cold.hits + cold.misses, 3, "{cold:?}");
+        let second = p.evaluate(&genes);
+        let warm = p.column_cache_stats();
+        assert_eq!(warm.misses, cold.misses, "a warm score computes no column");
+        assert_eq!(warm.hits, cold.hits + 3);
+        assert_eq!(first, second);
+        // Uncached deep layers still score like the per-row oracle.
+        let mlp = p.genome_spec().decode(&genes);
+        let mut scratch = InferenceScratch::default();
+        assert_eq!(p.score(&mlp), p.score_with(&mlp, &mut scratch));
     }
 
     #[test]

@@ -44,13 +44,13 @@
 //!   `Searched` stage artifact) and resumes a killed or cancelled
 //!   search from it, byte-identical to an uninterrupted run.
 //! * [`robust`] — Monte-Carlo variation-aware evaluation: the
-//!   trial-major extended dataset behind the batched robust fitness
-//!   path and the uncached [`robust::mc_accuracy`] reference oracle
-//!   (the variation corner itself is [`pe_hw::VariationModel`]).
+//!   input-perturbed trial datasets behind the robust fitness path and
+//!   the uncached [`robust::mc_accuracy`] reference oracle (the
+//!   variation corner itself is [`pe_hw::VariationModel`]).
 //! * [`columns`] — the population-level [`NeuronColumnCache`] behind
-//!   the columnar fitness engine: hidden/output neuron columns over
-//!   the fitness dataset, memoized across the population and threads
-//!   with interned layer signatures (bit-exact by construction).
+//!   the columnar fitness engine: first-hidden-layer neuron columns
+//!   over the fitness dataset, memoized across the population and
+//!   threads (bit-exact by construction).
 //! * [`store`] — design-store integration over `pe-store`: the
 //!   [`StoreSink`] eval hook that persists every unique design a
 //!   search encounters (a pure side channel — fronts and artifacts

@@ -2,17 +2,20 @@
 //! variation-aware fitness path and a standalone (uncached) reference
 //! oracle.
 //!
-//! The fast path lives inside [`crate::fitness::AxTrainProblem`]: the M
-//! perturbed trials are appended as extra sample segments of the
-//! existing columnar engine, so robustness costs ~M× *total*, not M×
-//! per-row, and perturbed hidden columns are memoized per trial in the
+//! The fast path lives inside [`crate::fitness::AxTrainProblem`]: each
+//! of the M trials keeps its own shared input-perturbed feature
+//! columns and runs the same cached columnar walk as a nominal
+//! evaluation, so robustness costs ~M× *total*, not M× per-row, and
+//! perturbed first-layer columns are memoized per trial in the
 //! population-level [`crate::columns::NeuronColumnCache`] (device slot
 //! `t + 1`). This module provides the pieces both sides agree on:
 //!
 //! * [`extended_matrix`] — the trial-major perturbed dataset (trial
 //!   `t`'s rows occupy segment `[t·n, (t+1)·n)`), built with
 //!   [`pe_hw::VariationModel`]'s stateless keyed sampler so the same
-//!   seeds always produce the same bytes.
+//!   seeds always produce the same bytes. The oracle reads all trials
+//!   from one matrix; the fitness path builds one single-seed matrix
+//!   per trial, whose bytes equal that trial's segment.
 //! * [`mc_accuracy`] — an **uncached** Monte-Carlo oracle evaluating a
 //!   decoded network per trial with the per-device gain/offset draws
 //!   applied to every accumulator. The cached fitness path is tested
