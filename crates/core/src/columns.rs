@@ -167,8 +167,8 @@ fn clamp_shards(requested: usize) -> usize {
     requested.clamp(1, 256).next_power_of_two()
 }
 
-/// Bounded, thread-shared, sharded memo of hidden-neuron output
-/// columns. See the [module docs](self).
+/// Bounded, thread-shared, sharded memo of first-hidden-layer neuron
+/// output columns. See the [module docs](self).
 #[derive(Debug)]
 pub struct NeuronColumnCache {
     /// Power-of-two shard array; a key's precomputed fingerprint picks
@@ -262,9 +262,9 @@ impl NeuronColumnCache {
             .collect()
     }
 
-    /// A first-hidden-layer neuron's post-QReLU column: served from the cache, or
-    /// computed by `compute` and published. `compute` runs outside the
-    /// cache lock; concurrent misses on one key may both compute (pure,
+    /// A first-hidden-layer neuron's post-QReLU column: served from the
+    /// cache, or computed by `compute` and published. `compute` runs
+    /// outside the cache lock; concurrent misses on one key may both compute (pure,
     /// identical results) and the last insert wins. A fingerprint
     /// collision (same key hash, different neuron) is handled as a
     /// miss whose result replaces the colliding entry. `device` is `0`

@@ -56,8 +56,8 @@ impl Default for AreaObjective {
 /// ([`pe_mlp::columnar`]), and first-hidden-layer output columns are
 /// memoized in a population-level [`NeuronColumnCache`] shared across
 /// clones and threads — sibling genomes only pay for the neurons
-/// mutation actually touched. Per-neuron gate counts are likewise memoized by
-/// weight signature ([`MemoAreaEstimator`]). The columnar path is
+/// mutation actually touched. Per-neuron gate counts are likewise
+/// memoized by weight signature ([`MemoAreaEstimator`]). The columnar path is
 /// bit-exact with the per-row oracle ([`score_with`](Self::score_with),
 /// i.e. [`pe_mlp::AxMlp::predict_with`] per sample), which the parity
 /// test-suite proves.

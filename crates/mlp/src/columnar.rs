@@ -281,8 +281,8 @@ impl ColumnMatrix {
     }
 
     /// All columns, in feature order, into a reused buffer — the
-    /// allocation-free variant the fitness path uses (`out` is cleared
-    /// first; its capacity survives across calls).
+    /// allocation-free variant the scratch-reusing forward passes use
+    /// (`out` is cleared first; its capacity survives across calls).
     pub fn col_refs_into<'a>(&'a self, out: &mut Vec<&'a [u8]>) {
         out.clear();
         out.extend((0..self.width).map(|f| self.col(f)));
