@@ -166,8 +166,7 @@ impl SgdTrainer {
                 }
                 // The weights are fixed within a batch, so its samples
                 // are forwarded a lane group at a time. Lanes past the
-                // group's end keep stale finite values and are never
-                // read.
+                // group's end keep stale values and are never read.
                 for group in batch.chunks(LANES) {
                     forward_group(&layers, rows, group, &mut acts);
 
@@ -210,7 +209,7 @@ impl SgdTrainer {
 
         let (weights, biases) = mlp.params_mut();
         for (layer, (w, b)) in layers.iter().zip(weights.iter_mut().zip(biases.iter_mut())) {
-            for (row, flat) in w.iter_mut().zip(layer.w.chunks_exact(layer.fan_in)) {
+            for (row, flat) in w.iter_mut().zip(layer.rows()) {
                 row.copy_from_slice(flat);
             }
             b.copy_from_slice(&layer.b);
