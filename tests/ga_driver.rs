@@ -16,7 +16,9 @@
 //! * `Nsga2::run` on a toy problem;
 //! * the ordered GA event stream (`GaGeneration`, `EvalCache`,
 //!   `Island`, `Migration`) of a run without a cache directory at one
-//!   evaluation thread, at islands unset and 2.
+//!   evaluation thread, at islands unset and 2;
+//! * `Pipeline::run_many_selected` over all five datasets at one and
+//!   two threads (equal digests).
 //!
 //! A changed line is a changed search: the driver may be rewritten,
 //! but only with these digests intact.
@@ -26,8 +28,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use printed_mlps::axc::{
-    fingerprint_json, AxTrainConfig, CancelToken, FlowError, PlainGaEngine, ProgressEvent,
-    RunControl, SearchEngine, Selected, StageKind, Study, StudyConfig,
+    fingerprint_json, AxTrainConfig, CancelToken, FlowError, Pipeline, PlainGaEngine,
+    ProgressEvent, RunControl, RunManyOptions, SearchEngine, Selected, StageKind, Study,
+    StudyConfig,
 };
 use printed_mlps::datasets::Dataset;
 use printed_mlps::hw::{CostScenario, ExactCostModel, VariationModel};
@@ -286,6 +289,29 @@ fn event_lines() -> Vec<String> {
     lines
 }
 
+/// `Pipeline::run_many_selected` over every dataset (each at its
+/// derived seed), one digest of the whole ordered result.
+fn run_many_lines() -> Vec<String> {
+    [1usize, 2]
+        .into_iter()
+        .map(|threads| {
+            let mut selected = Pipeline::run_many_selected(
+                &Dataset::ALL,
+                &base_config(11),
+                &RunManyOptions::with_threads(threads),
+            )
+            .expect("uncancelled studies succeed");
+            for one in &mut selected {
+                one.searched.outcome.ga_wall = Duration::ZERO;
+            }
+            format!(
+                "run_many threads={threads} {:016x}",
+                fingerprint_json(&selected)
+            )
+        })
+        .collect()
+}
+
 #[test]
 fn ga_outcomes_reproduce_the_golden_digests() {
     let golden = include_str!("golden/ga_driver.digests");
@@ -299,6 +325,7 @@ fn ga_outcomes_reproduce_the_golden_digests() {
     computed.push(plain_ga_line());
     computed.push(nsga2_line());
     computed.extend(event_lines());
+    computed.extend(run_many_lines());
     assert_eq!(
         computed,
         expected,
