@@ -117,13 +117,15 @@ pub fn doping(dataset: Dataset, population: usize, generations: usize, seed: u64
 
     let model = IslandModel::new(IslandConfig::single(cfg.nsga.clone()));
     let run = |seeds: Vec<Vec<u32>>| {
-        let (result, history) = model.run(
-            std::slice::from_ref(&problem),
-            seeds,
-            Resume::default(),
-            1,
-            &(),
-        );
+        let (result, history) = model
+            .run(
+                std::slice::from_ref(&problem),
+                seeds,
+                Resume::default(),
+                1,
+                &(),
+            )
+            .unwrap_or_else(|panic| panic.resume());
         let first_feasible = history
             .iter()
             .find(|s| 1.0 - s.best_objectives[0] + 1e-12 >= floor)

@@ -61,15 +61,6 @@ pub struct CheckpointSpec {
 }
 
 impl CheckpointSpec {
-    /// A spec writing to `path` at [`DEFAULT_CHECKPOINT_EVERY`].
-    #[must_use]
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        Self {
-            path: path.into(),
-            every: DEFAULT_CHECKPOINT_EVERY,
-        }
-    }
-
     /// Whether this spec asks for checkpointing at all.
     #[must_use]
     pub fn is_active(&self) -> bool {
@@ -92,39 +83,41 @@ pub(crate) fn island_paths(path: &Path, islands: usize) -> Vec<PathBuf> {
         .collect()
 }
 
+/// Read and parse the JSON file at `path`: `None` when there is no
+/// such file, `Err` with the reason when it cannot be read or parsed.
+pub(crate) fn read_json<T: Deserialize>(path: &Path) -> Option<Result<T, String>> {
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
+        Err(e) => return Some(Err(format!("unreadable: {e}"))),
+    };
+    Some(serde_json::from_str(&text).map_err(|e| format!("unparsable: {e}")))
+}
+
 /// Load and validate the `what` checkpoint (`"search"`, `"island"`) at
 /// `path`.
 ///
 /// Returns `None` — and the caller starts a fresh search — when the
-/// file is missing, unparsable (torn writes cannot happen thanks to
-/// [`pe_store::atomic_write`], but hand-edited or foreign files can),
-/// or fails `validate` against this run's configuration and bounds. An
-/// invalid-but-present file is reported to stderr so silently ignored
-/// checkpoints are diagnosable.
+/// file is missing, unreadable, unparsable (torn writes cannot happen
+/// thanks to [`pe_store::atomic_write`], but hand-edited or foreign
+/// files can), or fails `validate` against this run's configuration
+/// and bounds. A present but rejected file is reported to stderr so
+/// silently ignored checkpoints are diagnosable.
 #[must_use]
 pub(crate) fn load<T: Deserialize>(
     path: &Path,
     what: &str,
     validate: impl FnOnce(&T) -> Result<(), String>,
 ) -> Option<T> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let Ok(checkpoint) = serde_json::from_str::<T>(&text) else {
+    let checked =
+        read_json(path)?.and_then(|checkpoint: T| validate(&checkpoint).map(|()| checkpoint));
+    if let Err(reason) = &checked {
         eprintln!(
-            "warning: ignoring unreadable {what} checkpoint {}",
+            "warning: ignoring {what} checkpoint {}: {reason}",
             path.display()
         );
-        return None;
-    };
-    match validate(&checkpoint) {
-        Ok(()) => Some(checkpoint),
-        Err(reason) => {
-            eprintln!(
-                "warning: ignoring stale {what} checkpoint {}: {reason}",
-                path.display()
-            );
-            None
-        }
     }
+    checked.ok()
 }
 
 /// Persist one snapshot at `path` through [`pe_store::atomic_write`].
@@ -199,7 +192,9 @@ mod tests {
     /// One population of `config` through the pipeline's GA driver.
     fn run(config: &NsgaConfig, spec: Option<&CheckpointSpec>, ctl: &RunControl<'_>) -> NsgaResult {
         let model = IslandModel::new(IslandConfig::single(config.clone()));
-        crate::eval::run_ga(&model, &Sphere, Vec::new(), 1, ctl, &|| None, spec).0
+        crate::eval::run_ga(&model, &Sphere, Vec::new(), 1, ctl, &|| None, spec)
+            .expect("Sphere never panics")
+            .0
     }
 
     #[test]

@@ -233,6 +233,16 @@ impl NsgaEngine {
     }
 }
 
+/// [`NsgaEngine`]'s name over `islands` islands (two or more make an
+/// archipelago).
+pub(crate) fn nsga_engine_name(islands: usize) -> &'static str {
+    if islands >= 2 {
+        "nsga2-axc-islands"
+    } else {
+        "nsga2-axc"
+    }
+}
+
 impl Default for NsgaEngine {
     fn default() -> Self {
         Self::new(AxTrainConfig::default())
@@ -241,11 +251,7 @@ impl Default for NsgaEngine {
 
 impl SearchEngine for NsgaEngine {
     fn name(&self) -> &'static str {
-        if self.is_archipelago() {
-            "nsga2-axc-islands"
-        } else {
-            "nsga2-axc"
-        }
+        nsga_engine_name(self.islands)
     }
 
     fn cache_fingerprint(&self) -> u64 {
@@ -343,7 +349,8 @@ impl SearchEngine for PlainGaEngine {
             ctl,
             &|| None,
             ctx.checkpoint,
-        );
+        )
+        .map_err(|panic| FlowError::panicked(self.name(), &panic))?;
         let ga_wall = started.elapsed();
         ctl.ensure_live(StageKind::Searched)?;
 

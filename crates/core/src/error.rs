@@ -51,6 +51,16 @@ impl fmt::Display for FlowError {
     }
 }
 
+impl FlowError {
+    /// The [`FlowError::Engine`] of a panic in `engine`'s worker.
+    pub(crate) fn panicked(engine: &str, panic: &pe_nsga::WorkerPanic) -> Self {
+        FlowError::Engine {
+            engine: engine.to_owned(),
+            reason: format!("worker panicked: {}", panic.message),
+        }
+    }
+}
+
 impl std::error::Error for FlowError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {

@@ -13,12 +13,14 @@
 //!      ([`pe_arith::BoundedCache`]) — elitist (μ+λ) selection and
 //!      low mutation rates re-submit many identical genomes across
 //!      generations, and duplicates *within* a wave are computed once;
-//!   2. fans the remaining misses out over a fixed-size
-//!      `std::thread::scope` worker pool (no work stealing: workers pop
-//!      indices from one atomic counter, results land in preallocated
-//!      order-indexed slots), so
+//!   2. fans the remaining misses out over the workspace's one worker
+//!      pool, [`pe_nsga::map_claimed`] (workers claim indices from one
+//!      atomic counter; results come back in index order), so
 //!   3. evaluations return **in input order**, byte-identical to a
-//!      serial loop, regardless of thread count.
+//!      serial loop, regardless of thread count. A panicking
+//!      evaluation is re-raised on the caller's thread once the wave
+//!      is done, and the GA driver reports it as a
+//!      [`FlowError::Engine`](crate::FlowError::Engine).
 //! * [`thread_budget`] (one worker per core) is the default of both
 //!   [`Pipeline::run_many`](crate::Pipeline::run_many)'s dataset-level
 //!   pool and the within-study batch evaluator; callers pass an
@@ -31,19 +33,19 @@
 //! 1-thread and 32-thread runs byte-identical.
 //!
 //! Cache effectiveness is observable: [`CachedEvaluator::stats`]
-//! snapshots hit/miss counters, and the GA driver (`run_ga`) forwards
+//! snapshots hit/miss counters, and the GA driver forwards
 //! them as [`ProgressEvent::EvalCache`] once per generation.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use pe_arith::cache::FxBuildHasher;
 use pe_arith::BoundedCache;
 use pe_nsga::{
-    Evaluation, GenerationStats, IntProblem, IslandCheckpoint, IslandConfig, IslandModel,
-    NsgaResult, Resume, SearchCheckpoint, SearchHooks,
+    map_claimed, split_budget, Evaluation, GenerationStats, IntProblem, IslandCheckpoint,
+    IslandConfig, IslandModel, NsgaResult, Resume, SearchCheckpoint, SearchHooks, WorkerPanic,
 };
 
 use crate::checkpoint::CheckpointSpec;
@@ -142,17 +144,6 @@ impl<P: IntProblem + Sync> CachedEvaluator<P> {
         }
     }
 
-    /// The wrapped problem.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    /// The worker count batches fan out over.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Snapshot the cache counters.
     pub fn stats(&self) -> EvalCacheStats {
         let entries = self.lock_cache().len();
@@ -167,45 +158,6 @@ impl<P: IntProblem + Sync> CachedEvaluator<P> {
         self.cache
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Evaluate the deduplicated cache misses of a batch, in parallel
-    /// when both the miss count and the thread budget allow it.
-    /// `miss_rows[k]` is the batch index of the `k`-th unique miss;
-    /// returns the evaluations in miss order.
-    fn compute_misses(&self, genomes: &[Vec<u32>], miss_rows: &[usize]) -> Vec<Evaluation> {
-        let workers = self.threads.min(miss_rows.len());
-        if workers <= 1 {
-            return miss_rows
-                .iter()
-                .map(|&i| self.inner.evaluate(&genomes[i]))
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Evaluation>>> =
-            miss_rows.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let k = next.fetch_add(1, Ordering::SeqCst);
-                    let Some(&i) = miss_rows.get(k) else {
-                        break;
-                    };
-                    let e = self.inner.evaluate(&genomes[i]);
-                    *slots[k]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(e);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .expect("every miss slot is filled before the scope ends")
-            })
-            .collect()
     }
 }
 
@@ -228,51 +180,49 @@ impl<P: IntProblem + Sync> IntProblem for CachedEvaluator<P> {
     fn evaluate_batch(&self, genomes: &[Vec<u32>]) -> Vec<Evaluation> {
         // `PE_FAULT` drill site: one arrival per evaluation wave.
         fault_point(pe_store::fault::SITE_EVAL_BATCH);
-        let mut results: Vec<Option<Evaluation>> = vec![None; genomes.len()];
 
-        // Phase 1 — one cache pass: resolve hits, deduplicate misses.
-        // `miss_of[genome]` is the index into `miss_rows`/`computed`
-        // for every genome the inner problem has to score.
-        let mut miss_rows: Vec<usize> = Vec::new();
+        // Phase 1 — one cache pass: every row is a hit or the index of
+        // its genome in `misses`, which holds each miss once.
+        let mut misses: Vec<&[u32]> = Vec::new();
         let mut miss_of: HashMap<&[u32], usize, FxBuildHasher> = HashMap::default();
-        {
+        let rows: Vec<Result<Evaluation, usize>> = {
             let mut cache = self.lock_cache();
-            for (i, genome) in genomes.iter().enumerate() {
-                if let Some(e) = cache.get(genome.as_slice()) {
-                    results[i] = Some(e);
-                } else if !miss_of.contains_key(genome.as_slice()) {
-                    miss_of.insert(genome.as_slice(), miss_rows.len());
-                    miss_rows.push(i);
-                }
-            }
-        }
+            genomes
+                .iter()
+                .map(|genome| {
+                    cache.get(genome.as_slice()).ok_or_else(|| {
+                        *miss_of.entry(genome).or_insert_with(|| {
+                            misses.push(genome);
+                            misses.len() - 1
+                        })
+                    })
+                })
+                .collect()
+        };
 
-        // Phase 2 — compute the unique misses (parallel, input-ordered).
-        let computed = self.compute_misses(genomes, &miss_rows);
+        // Phase 2 — score the misses on the worker pool, in order; a
+        // panicking evaluation is re-raised here, the lowest first.
+        let computed: Vec<Evaluation> = map_claimed(misses.len(), self.threads, |k| {
+            self.inner.evaluate(misses[k])
+        })
+        .into_iter()
+        .map(|result| result.unwrap_or_else(|panic| panic.resume()))
+        .collect();
         self.misses
-            .fetch_add(miss_rows.len() as u64, Ordering::Relaxed);
+            .fetch_add(misses.len() as u64, Ordering::Relaxed);
         self.hits
-            .fetch_add((genomes.len() - miss_rows.len()) as u64, Ordering::Relaxed);
+            .fetch_add((genomes.len() - misses.len()) as u64, Ordering::Relaxed);
 
-        // Phase 3 — publish to the cache and fill the remaining rows
-        // (unique misses and their intra-batch duplicates) straight
-        // from the computed list, so even immediate eviction from a
-        // tiny cache cannot lose a result.
-        {
-            let mut cache = self.lock_cache();
-            for (&i, e) in miss_rows.iter().zip(&computed) {
-                cache.insert(genomes[i].clone(), e.clone());
-            }
+        // Phase 3 — publish to the cache and fill the missed rows (and
+        // their intra-batch duplicates) straight from `computed`, so
+        // even immediate eviction from a tiny cache cannot lose a result.
+        let mut cache = self.lock_cache();
+        for (genome, e) in misses.iter().zip(&computed) {
+            cache.insert(genome.to_vec(), e.clone());
         }
-        for (i, slot) in results.iter_mut().enumerate() {
-            if slot.is_none() {
-                let k = miss_of[genomes[i].as_slice()];
-                *slot = Some(computed[k].clone());
-            }
-        }
-        results
-            .into_iter()
-            .map(|e| e.expect("every batch row resolves to an evaluation"))
+        drop(cache);
+        rows.into_iter()
+            .map(|row| row.unwrap_or_else(|k| computed[k].clone()))
             .collect()
     }
 }
@@ -295,14 +245,14 @@ fn fault_point(site: &str) {
 /// the one-island model.
 ///
 /// **Threads.** The worker budget splits two levels deep, exactly like
-/// [`Pipeline::run_many`](crate::Pipeline::run_many): `workers =
-/// budget.clamp(1, islands)` island legs run concurrently, each over a
-/// private [`CachedEvaluator`] with `budget / workers` evaluation
-/// threads (one island gets the whole budget). Each island keeps its
-/// own genome memo for the whole run, so the memo's hit pattern is a
-/// pure function of that island's deterministic stream; shared
-/// problem-level caches stay safe because [`IntProblem::evaluate`] is
-/// pure.
+/// [`Pipeline::run_many`](crate::Pipeline::run_many) ([`split_budget`]):
+/// `workers = budget.clamp(1, islands)` island legs run concurrently,
+/// each over a private [`CachedEvaluator`] with `budget / workers`
+/// evaluation threads (one island gets the whole budget). Each island
+/// keeps its own genome memo for the whole run, so the memo's hit
+/// pattern is a pure function of that island's deterministic stream;
+/// shared problem-level caches stay safe because
+/// [`IntProblem::evaluate`] is pure.
 ///
 /// **Events.** One island emits a [`ProgressEvent::GaGeneration`] then
 /// a [`ProgressEvent::EvalCache`] with every cache counter per
@@ -325,6 +275,10 @@ fn fault_point(site: &str) {
 /// pre-migration flush of a persisted barrier), so a kill anywhere
 /// resumes bit-exactly. `problem_stats` snapshots the problem's own
 /// caches for the events (`None`: counters report zero).
+///
+/// **Panics.** A panic in an evaluation, a hook or a leg is returned as
+/// the lowest island's [`WorkerPanic`]; the island checkpoint files
+/// stay in place, so a re-run resumes from them.
 pub(crate) fn run_ga<P: IntProblem + Sync>(
     model: &IslandModel,
     problem: &P,
@@ -333,12 +287,11 @@ pub(crate) fn run_ga<P: IntProblem + Sync>(
     ctl: &RunControl<'_>,
     problem_stats: &(dyn Fn() -> Option<ProblemCacheStats> + Sync),
     checkpoint: Option<&CheckpointSpec>,
-) -> (NsgaResult, Vec<GenerationStats>) {
+) -> Result<(NsgaResult, Vec<GenerationStats>), WorkerPanic> {
     let n = model.config().islands;
-    let budget = eval_threads.max(1);
-    let workers = budget.clamp(1, n);
+    let (workers, threads) = split_budget(eval_threads, n);
     let evaluators: Vec<CachedEvaluator<&P>> = (0..n)
-        .map(|_| CachedEvaluator::with_options(problem, GENOME_CACHE_CAPACITY, budget / workers))
+        .map(|_| CachedEvaluator::with_options(problem, GENOME_CACHE_CAPACITY, threads))
         .collect();
 
     let checkpoint = checkpoint.filter(|spec| spec.is_active());
@@ -376,7 +329,7 @@ pub(crate) fn run_ga<P: IntProblem + Sync>(
         checkpoint,
         paths: &paths,
     };
-    let outcome = model.run(&evaluators, seeds, resume, workers, &hooks);
+    let outcome = model.run(&evaluators, seeds, resume, workers, &hooks)?;
     if n > 1 && !ctl.is_cancelled() {
         // The run completed: the mid-epoch island files are superseded
         // by the final barrier checkpoint (the pipeline deletes that
@@ -385,7 +338,7 @@ pub(crate) fn run_ga<P: IntProblem + Sync>(
             let _ = std::fs::remove_file(path);
         }
     }
-    outcome
+    Ok(outcome)
 }
 
 /// [`run_ga`]'s side of the driver: events, fault sites and checkpoint
@@ -642,6 +595,55 @@ mod tests {
         let expected: Vec<Evaluation> = pop.iter().map(|g| problem.evaluate(g)).collect();
         assert_eq!(evaluator.evaluate_batch(&pop), expected);
         assert_eq!(evaluator.evaluate_batch(&pop), expected);
+    }
+
+    /// [`Poly`], except that its `k`-th `evaluate` call panics.
+    struct FailsAt {
+        poly: Poly,
+        calls: std::sync::atomic::AtomicUsize,
+        k: usize,
+    }
+
+    impl IntProblem for FailsAt {
+        fn bounds(&self) -> &[u32] {
+            self.poly.bounds()
+        }
+        fn evaluate(&self, genes: &[u32]) -> Evaluation {
+            let call = self.calls.fetch_add(1, Ordering::Relaxed) + 1;
+            assert_ne!(call, self.k, "evaluation {call} fails");
+            self.poly.evaluate(genes)
+        }
+    }
+
+    #[test]
+    fn run_ga_returns_a_panicking_evaluation_as_an_error() {
+        for islands in [1, 2] {
+            for threads in [1, 2] {
+                let problem = FailsAt {
+                    poly: Poly {
+                        bounds: vec![32; 4],
+                    },
+                    calls: std::sync::atomic::AtomicUsize::new(0),
+                    k: 20,
+                };
+                let model = IslandModel::new(IslandConfig {
+                    islands,
+                    ..IslandConfig::single(pe_nsga::NsgaConfig {
+                        population: 12,
+                        generations: 6,
+                        seed: 7,
+                        ..pe_nsga::NsgaConfig::default()
+                    })
+                });
+                let ctl = RunControl::NONE;
+                let outcome = run_ga(&model, &problem, Vec::new(), threads, &ctl, &|| None, None);
+                let panic = outcome.expect_err("the 20th evaluation panics");
+                assert!(
+                    panic.message.contains("evaluation 20 fails"),
+                    "islands {islands}, threads {threads}: {panic:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! [`BaselineCosted`] → [`Searched`] → [`Selected`] — each a
 //! first-class serializable artifact that can be inspected, cached to
 //! disk and resumed. [`Pipeline::run_many`] executes studies for many
-//! datasets on a `std::thread` worker pool with deterministic
+//! datasets on the workspace's worker pool with deterministic
 //! per-dataset seeds ([`derive_seed`]), so parallel and sequential runs
 //! produce byte-identical JSON artifacts.
 //!
@@ -25,8 +25,7 @@
 //! ```
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -36,6 +35,7 @@ use pe_hw::{
 };
 use pe_mlp::{fixed_to_hardware, train_best_of_observed, DenseMlp, FixedMlp, QuantConfig};
 
+use crate::checkpoint::read_json;
 use crate::engine::{NsgaEngine, SearchContext, SearchEngine, SearchOutcome};
 use crate::error::FlowError;
 use crate::fitness::AreaObjective;
@@ -709,6 +709,21 @@ impl Pipeline {
         )
     }
 
+    /// Compute `stage`: check for cancellation, then run `body` between
+    /// the stage's `StageStarted` and `StageFinished` events.
+    fn stage<T>(
+        &self,
+        stage: StageKind,
+        body: impl FnOnce(&RunControl<'_>) -> Result<T, FlowError>,
+    ) -> Result<T, FlowError> {
+        let ctl = self.control();
+        ctl.ensure_live(stage)?;
+        ctl.emit(&ProgressEvent::StageStarted { stage });
+        let value = body(&ctl)?;
+        ctl.emit(&ProgressEvent::StageFinished { stage });
+        Ok(value)
+    }
+
     // ------------------------------------------------ stage computation
 
     /// Compute stage 1: generate the dataset, split 70/30 stratified,
@@ -719,27 +734,20 @@ impl Pipeline {
     /// [`FlowError::Dataset`] if splitting fails, or
     /// [`FlowError::Cancelled`].
     pub fn prepare(&self) -> Result<Prepared, FlowError> {
-        let ctl = self.control();
-        ctl.ensure_live(StageKind::Prepared)?;
-        ctl.emit(&ProgressEvent::StageStarted {
-            stage: StageKind::Prepared,
-        });
-        let data = generate(self.dataset, self.config.seed);
-        let split = stratified_split(&data, 0.7, self.config.seed)?;
-        let train = quantize(&split.train, self.config.ga.input_bits);
-        let test = quantize(&split.test, self.config.ga.input_bits);
-        let stage = Prepared {
-            dataset: self.dataset,
-            seed: self.config.seed,
-            float_train: split.train,
-            float_test: split.test,
-            train,
-            test,
-        };
-        ctl.emit(&ProgressEvent::StageFinished {
-            stage: StageKind::Prepared,
-        });
-        Ok(stage)
+        self.stage(StageKind::Prepared, |_| {
+            let data = generate(self.dataset, self.config.seed);
+            let split = stratified_split(&data, 0.7, self.config.seed)?;
+            let train = quantize(&split.train, self.config.ga.input_bits);
+            let test = quantize(&split.test, self.config.ga.input_bits);
+            Ok(Prepared {
+                dataset: self.dataset,
+                seed: self.config.seed,
+                float_train: split.train,
+                float_test: split.test,
+                train,
+                test,
+            })
+        })
     }
 
     /// Compute stage 2: backprop-train the float MLP at the paper's
@@ -750,39 +758,33 @@ impl Pipeline {
     ///
     /// [`FlowError::Cancelled`] when cancelled mid-training.
     pub fn train_float(&self, prepared: Prepared) -> Result<FloatTrained, FlowError> {
-        let ctl = self.control();
-        ctl.ensure_live(StageKind::FloatTrained)?;
-        ctl.emit(&ProgressEvent::StageStarted {
-            stage: StageKind::FloatTrained,
-        });
-        let spec = prepared.dataset.spec();
-        let sgd = self.config.sgd_for(&spec);
-        let epochs = sgd.epochs;
-        let (float_mlp, _) = train_best_of_observed(
-            &pe_mlp::Topology::new(spec.topology()),
-            &prepared.float_train.features,
-            &prepared.float_train.labels,
-            &sgd,
-            3,
-            |restart, epoch| {
-                ctl.emit(&ProgressEvent::SgdEpoch {
-                    restart,
-                    epoch,
-                    epochs,
-                });
-                !ctl.is_cancelled()
-            },
-        );
-        ctl.ensure_live(StageKind::FloatTrained)?;
-        let float_test_accuracy =
-            float_mlp.accuracy(&prepared.float_test.features, &prepared.float_test.labels);
-        ctl.emit(&ProgressEvent::StageFinished {
-            stage: StageKind::FloatTrained,
-        });
-        Ok(FloatTrained {
-            prepared,
-            float_mlp,
-            float_test_accuracy,
+        self.stage(StageKind::FloatTrained, |ctl| {
+            let spec = prepared.dataset.spec();
+            let sgd = self.config.sgd_for(&spec);
+            let epochs = sgd.epochs;
+            let (float_mlp, _) = train_best_of_observed(
+                &pe_mlp::Topology::new(spec.topology()),
+                &prepared.float_train.features,
+                &prepared.float_train.labels,
+                &sgd,
+                3,
+                |restart, epoch| {
+                    ctl.emit(&ProgressEvent::SgdEpoch {
+                        restart,
+                        epoch,
+                        epochs,
+                    });
+                    !ctl.is_cancelled()
+                },
+            );
+            ctl.ensure_live(StageKind::FloatTrained)?;
+            let float_test_accuracy =
+                float_mlp.accuracy(&prepared.float_test.features, &prepared.float_test.labels);
+            Ok(FloatTrained {
+                prepared,
+                float_mlp,
+                float_test_accuracy,
+            })
         })
     }
 
@@ -793,40 +795,34 @@ impl Pipeline {
     ///
     /// [`FlowError::Cancelled`].
     pub fn cost_baseline(&self, float: FloatTrained) -> Result<BaselineCosted, FlowError> {
-        let ctl = self.control();
-        ctl.ensure_live(StageKind::BaselineCosted)?;
-        ctl.emit(&ProgressEvent::StageStarted {
-            stage: StageKind::BaselineCosted,
-        });
-        let prepared = &float.prepared;
-        let spec = prepared.dataset.spec();
-        let baseline = FixedMlp::quantize(
-            &float.float_mlp,
-            QuantConfig {
-                weight_bits: self.config.ga.weight_bits,
-                input_bits: self.config.ga.input_bits,
-                activation_bits: self.config.ga.activation_bits,
-            },
-            &prepared.float_train.features,
-        );
-        let baseline_train_accuracy =
-            baseline.accuracy(&prepared.train.features, &prepared.train.labels);
-        let baseline_test_accuracy =
-            baseline.accuracy(&prepared.test.features, &prepared.test.labels);
-        // The baseline costs through the same model the search and the
-        // selection use — one cost layer end to end.
-        let baseline_report = self
-            .cost_model()
-            .report(&fixed_to_hardware(&baseline, spec.name));
-        ctl.emit(&ProgressEvent::StageFinished {
-            stage: StageKind::BaselineCosted,
-        });
-        Ok(BaselineCosted {
-            float,
-            baseline,
-            baseline_train_accuracy,
-            baseline_test_accuracy,
-            baseline_report,
+        self.stage(StageKind::BaselineCosted, |_| {
+            let prepared = &float.prepared;
+            let spec = prepared.dataset.spec();
+            let baseline = FixedMlp::quantize(
+                &float.float_mlp,
+                QuantConfig {
+                    weight_bits: self.config.ga.weight_bits,
+                    input_bits: self.config.ga.input_bits,
+                    activation_bits: self.config.ga.activation_bits,
+                },
+                &prepared.float_train.features,
+            );
+            let baseline_train_accuracy =
+                baseline.accuracy(&prepared.train.features, &prepared.train.labels);
+            let baseline_test_accuracy =
+                baseline.accuracy(&prepared.test.features, &prepared.test.labels);
+            // The baseline costs through the same model the search and
+            // the selection use — one cost layer end to end.
+            let baseline_report = self
+                .cost_model()
+                .report(&fixed_to_hardware(&baseline, spec.name));
+            Ok(BaselineCosted {
+                float,
+                baseline,
+                baseline_train_accuracy,
+                baseline_test_accuracy,
+                baseline_report,
+            })
         })
     }
 
@@ -837,30 +833,26 @@ impl Pipeline {
     /// Whatever the engine returns ([`FlowError::Cancelled`],
     /// [`FlowError::Engine`]).
     pub fn search(&self, costed: BaselineCosted) -> Result<Searched, FlowError> {
-        let ctl = self.control();
-        ctl.ensure_live(StageKind::Searched)?;
-        ctl.emit(&ProgressEvent::StageStarted {
-            stage: StageKind::Searched,
-        });
-        let model = self.cost_model();
-        // A checkpoint needs a home and a cadence; without a cache_dir
-        // (or with cadence 0) the stage runs exactly as before. The
-        // checkpoint file sits next to the `Searched` artifact and
-        // shares its config-keyed prefix, so differently-configured
-        // runs can never resume each other's snapshots (the loader
-        // validates the config again regardless).
-        let checkpoint = self.checkpoint_path().map(|path| {
-            if let Some(parent) = path.parent() {
-                if let Err(e) = std::fs::create_dir_all(parent) {
-                    eprintln!("warning: cannot create {}: {e}", parent.display());
+        self.stage(StageKind::Searched, |ctl| {
+            let model = self.cost_model();
+            // A checkpoint needs a home and a cadence; without a
+            // cache_dir (or with cadence 0) the stage runs exactly as
+            // before. The checkpoint file sits next to the `Searched`
+            // artifact and shares its config-keyed prefix, so
+            // differently-configured runs can never resume each other's
+            // snapshots (the loader validates the config again
+            // regardless).
+            let checkpoint = self.checkpoint_path().map(|path| {
+                if let Some(parent) = path.parent() {
+                    if let Err(e) = std::fs::create_dir_all(parent) {
+                        eprintln!("warning: cannot create {}: {e}", parent.display());
+                    }
                 }
-            }
-            crate::checkpoint::CheckpointSpec {
-                path,
-                every: self.checkpoint_every,
-            }
-        });
-        let outcome = {
+                crate::checkpoint::CheckpointSpec {
+                    path,
+                    every: self.checkpoint_every,
+                }
+            });
             let mut ctx = costed.search_context(&model, self.config.accuracy_loss_budget);
             if let Some(threads) = self.eval_threads {
                 ctx.eval_threads = threads;
@@ -868,15 +860,12 @@ impl Pipeline {
             ctx.variation = self.config.variation.as_ref();
             ctx.store = self.store_sink.as_ref();
             ctx.checkpoint = checkpoint.as_ref();
-            self.engine.search(&ctx, &ctl)?
-        };
-        ctl.emit(&ProgressEvent::StageFinished {
-            stage: StageKind::Searched,
-        });
-        Ok(Searched {
-            costed,
-            engine: self.engine.name().to_owned(),
-            outcome,
+            let outcome = self.engine.search(&ctx, ctl)?;
+            Ok(Searched {
+                costed,
+                engine: self.engine.name().to_owned(),
+                outcome,
+            })
         })
     }
 
@@ -889,31 +878,25 @@ impl Pipeline {
     ///
     /// [`FlowError::Cancelled`].
     pub fn select(&self, searched: Searched) -> Result<Selected, FlowError> {
-        let ctl = self.control();
-        ctl.ensure_live(StageKind::Selected)?;
-        ctl.emit(&ProgressEvent::StageStarted {
-            stage: StageKind::Selected,
-        });
-        let selected = select_within_budgets(
-            &searched.outcome.front,
-            searched.costed.baseline_test_accuracy,
-            self.config.accuracy_loss_budget,
-            self.config.scenario.power_budget_mw,
-        )
-        .cloned();
-        // The chosen design is flagged in the design store, so store
-        // queries (and `cost_sweep`'s store mode) can reproduce the
-        // study's own selection without re-running anything.
-        if let (Some(sink), Some(point)) = (&self.store_sink, &selected) {
-            sink.mark_selected(point);
-        }
-        ctl.emit(&ProgressEvent::StageFinished {
-            stage: StageKind::Selected,
-        });
-        Ok(Selected {
-            searched,
-            loss_budget: self.config.accuracy_loss_budget,
-            selected,
+        self.stage(StageKind::Selected, |_| {
+            let selected = select_within_budgets(
+                &searched.outcome.front,
+                searched.costed.baseline_test_accuracy,
+                self.config.accuracy_loss_budget,
+                self.config.scenario.power_budget_mw,
+            )
+            .cloned();
+            // The chosen design is flagged in the design store, so store
+            // queries (and `cost_sweep`'s store mode) can reproduce the
+            // study's own selection without re-running anything.
+            if let (Some(sink), Some(point)) = (&self.store_sink, &selected) {
+                sink.mark_selected(point);
+            }
+            Ok(Selected {
+                searched,
+                loss_budget: self.config.accuracy_loss_budget,
+                selected,
+            })
         })
     }
 
@@ -1042,14 +1025,20 @@ impl Pipeline {
     fn cached<T, V, F>(&self, stage: StageKind, valid: V, compute: F) -> Result<T, FlowError>
     where
         T: Serialize + Deserialize,
-        V: FnOnce(&T) -> bool,
+        V: Fn(&T) -> bool,
         F: FnOnce() -> Result<T, FlowError>,
     {
-        if let Some(value) = self.load_stage::<T>(stage) {
-            if valid(&value) {
+        match self.stage_path(stage).and_then(|path| read_json(&path)) {
+            Some(Ok(value)) if valid(&value) => {
                 self.control().emit(&ProgressEvent::StageLoaded { stage });
                 return Ok(value);
             }
+            Some(rejected) => {
+                let reason = rejected.map_or_else(|e| e, |_| "another study's artifact".into());
+                self.control()
+                    .emit(&ProgressEvent::StageRejected { stage, reason });
+            }
+            None => {}
         }
         let value = compute()?;
         self.store_stage(stage, &value);
@@ -1135,12 +1124,6 @@ impl Pipeline {
         h ^ crate::engine::fingerprint_json(&cfg.accuracy_loss_budget).rotate_left(4)
     }
 
-    fn load_stage<T: Deserialize>(&self, stage: StageKind) -> Option<T> {
-        let path = self.stage_path(stage)?;
-        let text = std::fs::read_to_string(path).ok()?;
-        serde_json::from_str(&text).ok()
-    }
-
     /// Best-effort store: failures are reported to stderr but never
     /// fail the pipeline (the in-memory artifact is the primary result).
     ///
@@ -1149,7 +1132,7 @@ impl Pipeline {
     /// own), so pretty-printing would multiply already-redundant bytes.
     /// Writes go through [`pe_store::atomic_write`], so a kill mid-write
     /// can never leave a torn artifact for the next run to load (a torn
-    /// cache entry would fail to parse and silently recompute, but an
+    /// cache entry would be rejected and recomputed, but an
     /// atomically-replaced one keeps its previous good contents).
     fn store_stage<T: Serialize>(&self, stage: StageKind, value: &T) {
         let Some(path) = self.stage_path(stage) else {
@@ -1173,7 +1156,8 @@ impl Pipeline {
 
     // ------------------------------------------------ multi-dataset runs
 
-    /// Run studies for many datasets on a `std::thread` worker pool.
+    /// Run studies for many datasets on the workspace's worker pool
+    /// ([`pe_nsga::map_claimed`]), one dataset per index.
     ///
     /// Each dataset runs at the seed [`derive_seed`]`(base.seed,
     /// dataset)` — deterministic and independent of scheduling — so the
@@ -1183,12 +1167,9 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// The first (by input order) per-dataset error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread itself panics (stage code reports
-    /// failures as [`FlowError`] instead).
+    /// The first (by input order) per-dataset error. A study that
+    /// panics is that dataset's [`FlowError::Engine`], carrying the
+    /// panic message.
     pub fn run_many(
         datasets: &[Dataset],
         base: &StudyConfig,
@@ -1205,64 +1186,41 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// The first (by input order) per-dataset error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread itself panics.
+    /// As [`run_many`](Self::run_many).
     pub fn run_many_selected(
         datasets: &[Dataset],
         base: &StudyConfig,
         opts: &RunManyOptions,
     ) -> Result<Vec<Selected>, FlowError> {
-        let n = datasets.len();
         let budget = match opts.threads {
             0 => crate::eval::thread_budget(),
             t => t,
         };
-        let workers = budget.clamp(1, n.max(1));
-        // Divide the global budget between the two pool levels: with
-        // `workers` studies running concurrently, each study's batch
-        // evaluator gets its share, so dataset-level and within-study
-        // parallelism multiply to ~`budget` threads instead of
-        // oversubscribing to `budget²`.
-        let eval_threads = (budget / workers).max(1);
-
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<Selected, FlowError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    let Some(&dataset) = datasets.get(i) else {
-                        break;
-                    };
-                    let result = Self::run_one_of_many(dataset, base, opts, eval_threads);
-                    *slots[i]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
-                });
-            }
-        });
-
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .expect("every slot is filled before the scope ends")
+        // With `workers` studies running concurrently, each study's
+        // batch evaluator gets its share of the budget, so the two pool
+        // levels multiply to ~`budget` threads instead of `budget²`.
+        let (workers, eval_threads) = pe_nsga::split_budget(budget, datasets.len());
+        // A build error is the same for every dataset (only the seed
+        // differs), so the first one is the first by input order.
+        let pipelines = datasets
+            .iter()
+            .map(|&dataset| Self::pipeline_of_many(dataset, base, opts, eval_threads))
+            .collect::<Result<Vec<_>, _>>()?;
+        let runs = pe_nsga::map_claimed(pipelines.len(), workers, |i| pipelines[i].run());
+        runs.into_iter()
+            .zip(&pipelines)
+            .map(|(run, pipeline)| {
+                run.unwrap_or_else(|panic| Err(FlowError::panicked(pipeline.engine_name(), &panic)))
             })
             .collect()
     }
 
-    fn run_one_of_many(
+    fn pipeline_of_many(
         dataset: Dataset,
         base: &StudyConfig,
         opts: &RunManyOptions,
         eval_threads: usize,
-    ) -> Result<Selected, FlowError> {
+    ) -> Result<Pipeline, FlowError> {
         let mut config = base.clone();
         let seed = derive_seed(base.seed, dataset);
         config.seed = seed;
@@ -1290,7 +1248,7 @@ impl Pipeline {
         if let Some(writer) = &opts.store {
             builder = builder.design_store_shared(Arc::clone(writer));
         }
-        builder.finish()?.run()
+        builder.finish()
     }
 }
 

@@ -103,6 +103,14 @@ pub enum ProgressEvent {
         /// Which stage.
         stage: StageKind,
     },
+    /// A cached stage file could not be read, parsed or matched to this
+    /// study, so the stage is recomputed (a missing file is silent).
+    StageRejected {
+        /// Which stage.
+        stage: StageKind,
+        /// Why the file was not used.
+        reason: String,
+    },
     /// One SGD epoch of the float-training stage completed.
     SgdEpoch {
         /// Restart index within the best-of-N loop.

@@ -11,6 +11,7 @@ use pe_mlp::{AxMlp, FixedMlp, QReluCfg, QuantMatrix};
 use pe_nsga::{Evaluation, GenerationStats, IntProblem, IslandConfig, IslandModel};
 
 use crate::config::AxTrainConfig;
+use crate::engine::nsga_engine_name;
 use crate::error::FlowError;
 use crate::fitness::AxTrainProblem;
 use crate::genome::{GenomeSpec, LayerGenomeSpec};
@@ -180,7 +181,7 @@ impl HwAwareTrainer {
     /// # Panics
     ///
     /// Panics if the training data is empty or does not match the
-    /// baseline's input width.
+    /// baseline's input width, or if the search panics.
     #[must_use]
     pub fn train(
         &self,
@@ -200,7 +201,7 @@ impl HwAwareTrainer {
             name,
             &RunControl::NONE,
         )
-        .expect("a NONE control cannot cancel")
+        .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`train`](Self::train) with progress reporting and cooperative
@@ -210,11 +211,12 @@ impl HwAwareTrainer {
     ///
     /// # Errors
     ///
-    /// Returns [`FlowError::Cancelled`] when `ctl`'s token is set.
+    /// Returns [`FlowError::Cancelled`] when `ctl`'s token is set, and
+    /// [`FlowError::Engine`] when the search panics.
     ///
     /// # Panics
     ///
-    /// Panics as [`train`](Self::train) does.
+    /// Panics as [`train`](Self::train) does on bad training data.
     #[allow(clippy::too_many_arguments)] // mirrors `train` + the control
     pub fn train_controlled(
         &self,
@@ -293,7 +295,8 @@ impl HwAwareTrainer {
             ctl,
             &problem_stats,
             self.checkpoint.as_ref(),
-        );
+        )
+        .map_err(|panic| FlowError::panicked(nsga_engine_name(self.topology.islands), &panic))?;
         let ga_wall = started.elapsed();
         ctl.ensure_live(StageKind::Searched)?;
 

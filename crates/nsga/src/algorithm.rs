@@ -303,7 +303,7 @@ impl Nsga2 {
     /// # Panics
     ///
     /// Panics if the population size is below 2 or the generation
-    /// budget is zero.
+    /// budget is zero, and re-raises a panic of `problem`.
     pub fn run<P: IntProblem + Sync>(&self, problem: &P) -> NsgaResult {
         IslandModel::new(IslandConfig::single(self.config.clone()))
             .run(
@@ -313,6 +313,7 @@ impl Nsga2 {
                 1,
                 &(),
             )
+            .unwrap_or_else(|panic| panic.resume())
             .0
     }
 }
@@ -511,6 +512,7 @@ mod tests {
         };
         IslandModel::new(IslandConfig::single(cfg.clone()))
             .run(std::slice::from_ref(problem), seeds, resume, 1, hooks)
+            .expect("no leg panics")
             .0
     }
 

@@ -23,14 +23,15 @@
 //!
 //! [`IslandModel::run`] is the one loop every search goes through. It
 //! owns resume, the per-generation step ([`SearchCheckpoint`] is the
-//! state it steps), cadence saves, migration, the final merge and the
-//! claim-by-counter worker pool that runs island legs concurrently;
-//! callers observe and persist through [`SearchHooks`]. At one worker
-//! the legs run inline in island order — the serial reference every
-//! worker count reproduces bit for bit, because islands share nothing
-//! but the (pure) problem.
+//! state it steps), cadence saves, migration and the final merge, and
+//! runs each epoch's island legs through the crate's one worker pool
+//! ([`map_claimed`]); callers observe and persist through
+//! [`SearchHooks`]. At one worker the legs run inline in island order —
+//! the serial reference every worker count reproduces bit for bit,
+//! because islands share nothing but the (pure) problem. A leg that
+//! panics ends the run with that leg's [`WorkerPanic`] as its error.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use rand::rngs::StdRng;
@@ -41,6 +42,7 @@ use serde::{Deserialize, Serialize};
 use crate::algorithm::Nsga2;
 use crate::algorithm::{GenerationStats, NsgaConfig, NsgaResult, SearchCheckpoint};
 use crate::individual::Individual;
+use crate::pool::{map_claimed, WorkerPanic};
 use crate::problem::IntProblem;
 use crate::sort::{assign_crowding, fast_non_dominated_sort};
 
@@ -298,27 +300,6 @@ pub trait SearchHooks: Sync {
 
 impl SearchHooks for () {}
 
-/// Run `task(0..n)` over `workers` threads that claim indices from one
-/// atomic counter; one worker runs them inline, in order.
-fn for_each_claimed(n: usize, workers: usize, task: impl Fn(usize) + Sync) {
-    if workers <= 1 {
-        (0..n).for_each(task);
-        return;
-    }
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(n) {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::SeqCst);
-                if index >= n {
-                    break;
-                }
-                task(index);
-            });
-        }
-    });
-}
-
 /// The GA driver. See the [module docs](self) for the topology and
 /// determinism contract.
 #[derive(Debug, Clone)]
@@ -371,11 +352,17 @@ impl IslandModel {
     /// generation; legs not yet started are skipped, the run ends
     /// before the next barrier, and whatever states exist merge.
     ///
+    /// # Errors
+    ///
+    /// The lowest island's panic, when a leg panics (in the problem,
+    /// the hooks, or on a seed genome of the wrong length). The epoch's
+    /// other legs still finish, and their [`SearchHooks::save`] calls
+    /// land, so a re-run can resume.
+    ///
     /// # Panics
     ///
-    /// Panics if `problems` does not hold one problem per island, a
-    /// seed genome has the wrong length, or a resume state fails
-    /// [`SearchCheckpoint::validate`] or lags behind
+    /// Panics if `problems` does not hold one problem per island, or a
+    /// resume state fails [`SearchCheckpoint::validate`] or lags behind
     /// `resume.migrated_through`.
     pub fn run<P: IntProblem + Sync>(
         &self,
@@ -384,7 +371,7 @@ impl IslandModel {
         resume: Resume,
         workers: usize,
         hooks: &dyn SearchHooks,
-    ) -> (NsgaResult, Vec<GenerationStats>) {
+    ) -> Result<(NsgaResult, Vec<GenerationStats>), WorkerPanic> {
         let n = self.islands.len();
         assert_eq!(problems.len(), n, "one problem per island");
         let mut island_seeds: Vec<Vec<Vec<u32>>> = vec![Vec::new(); n];
@@ -438,7 +425,7 @@ impl IslandModel {
             if target <= migrated_through {
                 continue;
             }
-            for_each_claimed(n, workers, |island| {
+            let legs = map_claimed(n, workers, |island| {
                 if stopped.load(Ordering::SeqCst) {
                     return;
                 }
@@ -452,6 +439,7 @@ impl IslandModel {
                     stopped.store(true, Ordering::SeqCst);
                 }
             });
+            legs.into_iter().collect::<Result<(), _>>()?;
             if stopped.load(Ordering::SeqCst) {
                 break;
             }
@@ -485,7 +473,7 @@ impl IslandModel {
             .iter_mut()
             .flat_map(|state| std::mem::take(&mut state.history))
             .collect();
-        (self.merge(finals), history)
+        Ok((self.merge(finals), history))
     }
 
     /// Advance one island to `target` completed generations, calling
@@ -734,7 +722,10 @@ mod tests {
         hooks: &dyn SearchHooks,
     ) -> NsgaResult {
         let problems = vec![TwoHumps; model.config().islands];
-        model.run(&problems, seeds, resume, workers, hooks).0
+        model
+            .run(&problems, seeds, resume, workers, hooks)
+            .expect("no leg panics")
+            .0
     }
 
     #[test]
@@ -872,13 +863,15 @@ mod tests {
             seen: Mutex::default(),
             stop: |_, _| false,
         };
-        let (result, history) = model.run(
-            &[TwoHumps, TwoHumps],
-            Vec::new(),
-            Resume::default(),
-            1,
-            &full,
-        );
+        let (result, history) = model
+            .run(
+                &[TwoHumps, TwoHumps],
+                Vec::new(),
+                Resume::default(),
+                1,
+                &full,
+            )
+            .expect("no leg panics");
         assert_eq!(result.generations, cfg.nsga.generations);
         // Every island reports every generation exactly once, and the
         // history holds both islands' logs in island order.

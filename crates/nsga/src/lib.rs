@@ -13,7 +13,9 @@
 //! * an elitist (μ+λ) main loop with seed-population injection for the
 //!   paper's doped initialization, run by one driver
 //!   ([`IslandModel::run`]) whose one-island case is [`Nsga2::run`] and
-//!   whose archipelagos migrate elites around a ring ([`island`]).
+//!   whose archipelagos migrate elites around a ring ([`island`]),
+//! * one claim-by-counter worker pool ([`map_claimed`]) that turns a
+//!   worker's panic into an error value ([`pool`]).
 //!
 //! Everything is deterministic in the configured seed.
 //!
@@ -43,6 +45,7 @@ pub mod algorithm;
 pub mod individual;
 pub mod island;
 pub mod operators;
+pub mod pool;
 pub mod problem;
 pub mod sort;
 
@@ -53,5 +56,6 @@ pub use island::{
     DEFAULT_MIGRANTS, DEFAULT_MIGRATION_EVERY,
 };
 pub use operators::{crossover, mutate, random_genome, CrossoverKind};
+pub use pool::{map_claimed, split_budget, WorkerPanic};
 pub use problem::{constrained_dominates, Evaluation, IntProblem};
 pub use sort::{assign_crowding, fast_non_dominated_sort};

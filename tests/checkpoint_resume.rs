@@ -84,6 +84,7 @@ fn drive(
         .collect();
     IslandModel::new(config.clone())
         .run(&problems, Vec::new(), resume, 1, hooks)
+        .expect("no leg panics")
         .0
 }
 

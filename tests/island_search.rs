@@ -179,6 +179,7 @@ fn run_model(
         .collect();
     IslandModel::new(config.clone())
         .run(&problems, Vec::new(), resume, workers, hooks)
+        .expect("no leg panics")
         .0
 }
 

@@ -1,13 +1,14 @@
 //! The staged pipeline API end to end: stage artifacts round-trip
 //! through serde, cache to disk and resume without re-running the GA,
-//! parallel `run_many` reproduces sequential output byte-for-byte, and
-//! cancellation aborts mid-run.
+//! a torn stage file is reported and recomputed, parallel `run_many`
+//! reproduces sequential output byte-for-byte and reports a panicking
+//! study as an error, and cancellation aborts mid-run.
 
 use std::sync::{Arc, Mutex};
 
 use printed_mlps::axc::{
-    AxTrainConfig, CancelToken, FlowError, Pipeline, ProgressEvent, RunManyOptions, StageKind,
-    Study, StudyConfig,
+    AxTrainConfig, CancelToken, FlowError, NsgaEngine, Pipeline, ProgressEvent, RunControl,
+    RunManyOptions, SearchContext, SearchEngine, SearchOutcome, StageKind, Study, StudyConfig,
 };
 use printed_mlps::datasets::Dataset;
 use printed_mlps::hw::TechLibrary;
@@ -228,6 +229,91 @@ fn run_many_is_parallel_scheduling_invariant() {
     assert_eq!(sequential.len(), 3);
     assert_eq!(sequential[0].dataset, Dataset::BreastCancer);
     assert_eq!(sequential[1].dataset, Dataset::RedWine);
+}
+
+#[test]
+fn a_torn_stage_file_is_reported_and_recomputed() {
+    let dir = fresh_dir("rejected");
+    let (cold, cold_events) = recording_pipeline(Dataset::BreastCancer, 29, Some(&dir));
+    let expected = cold.run().expect("cold run");
+    assert!(!cold_events
+        .lock()
+        .expect("unpoisoned")
+        .iter()
+        .any(|e| matches!(e, ProgressEvent::StageRejected { .. })));
+
+    // Drop the `Selected` file (a missing file is silent) and tear the
+    // `Searched` one in half.
+    for entry in std::fs::read_dir(&dir).expect("cache dir") {
+        let path = entry.expect("dir entry").path();
+        let name = path.to_string_lossy().into_owned();
+        if name.ends_with("-selected.json") {
+            std::fs::remove_file(&path).expect("remove Selected");
+        } else if name.ends_with("-searched.json") {
+            let bytes = std::fs::read(&path).expect("read Searched");
+            std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate Searched");
+        }
+    }
+
+    let (warm, warm_events) = recording_pipeline(Dataset::BreastCancer, 29, Some(&dir));
+    let recomputed = warm.run().expect("re-run over a torn cache");
+    let rejected: Vec<(StageKind, String)> = warm_events
+        .lock()
+        .expect("unpoisoned")
+        .iter()
+        .filter_map(|e| match e {
+            ProgressEvent::StageRejected { stage, reason } => Some((*stage, reason.clone())),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(rejected.len(), 1, "{rejected:?}");
+    assert_eq!(rejected[0].0, StageKind::Searched);
+    assert!(rejected[0].1.contains("unparsable"), "{}", rejected[0].1);
+    assert!(ga_generations(&warm_events) > 0, "the search is recomputed");
+    assert_eq!(untimed(recomputed), untimed(expected));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An engine that panics in every search.
+struct Panicky;
+
+impl SearchEngine for Panicky {
+    fn name(&self) -> &'static str {
+        "panicky"
+    }
+
+    fn search(
+        &self,
+        _ctx: &SearchContext<'_>,
+        _ctl: &RunControl<'_>,
+    ) -> Result<SearchOutcome, FlowError> {
+        panic!("panicky engine gave up");
+    }
+}
+
+#[test]
+fn a_panicking_study_is_that_datasets_engine_error() {
+    let datasets = [Dataset::BreastCancer, Dataset::RedWine];
+    for threads in [1, 2] {
+        let mut opts = RunManyOptions::with_threads(threads);
+        opts.engine = Some(Arc::new(|dataset, config: &StudyConfig| {
+            if dataset == Dataset::RedWine {
+                Arc::new(Panicky) as Arc<dyn SearchEngine + Send + Sync>
+            } else {
+                Arc::new(NsgaEngine::new(config.ga.clone()))
+            }
+        }));
+        match Pipeline::run_many_selected(&datasets, &micro_config(5), &opts) {
+            Err(FlowError::Engine { engine, reason }) => {
+                assert_eq!(engine, "panicky", "{threads} threads");
+                assert!(
+                    reason.contains("panicky engine gave up"),
+                    "{threads} threads: {reason}"
+                );
+            }
+            other => panic!("{threads} threads: expected an engine error, got {other:?}"),
+        }
+    }
 }
 
 #[test]
