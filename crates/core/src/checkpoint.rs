@@ -109,15 +109,15 @@ pub(crate) fn load<T: Deserialize>(
     what: &str,
     validate: impl FnOnce(&T) -> Result<(), String>,
 ) -> Option<T> {
-    let checked =
-        read_json(path)?.and_then(|checkpoint: T| validate(&checkpoint).map(|()| checkpoint));
-    if let Err(reason) = &checked {
-        eprintln!(
-            "warning: ignoring {what} checkpoint {}: {reason}",
-            path.display()
-        );
-    }
-    checked.ok()
+    read_json(path)?
+        .and_then(|checkpoint: T| validate(&checkpoint).map(|()| checkpoint))
+        .inspect_err(|reason| {
+            eprintln!(
+                "warning: ignoring {what} checkpoint {}: {reason}",
+                path.display()
+            );
+        })
+        .ok()
 }
 
 /// Persist one snapshot at `path` through [`pe_store::atomic_write`].

@@ -166,15 +166,10 @@ impl<P: IntProblem + Sync> IntProblem for CachedEvaluator<P> {
         self.inner.bounds()
     }
 
+    /// A one-genome wave (the GA itself only ever scores waves).
     fn evaluate(&self, genes: &[u32]) -> Evaluation {
-        if let Some(e) = self.lock_cache().get(genes) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return e;
-        }
-        let e = self.inner.evaluate(genes);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.lock_cache().insert(genes.to_vec(), e.clone());
-        e
+        let mut wave = self.evaluate_batch(&[genes.to_vec()]);
+        wave.pop().expect("one genome in, one evaluation out")
     }
 
     fn evaluate_batch(&self, genomes: &[Vec<u32>]) -> Vec<Evaluation> {

@@ -13,9 +13,8 @@ pub struct WorkerPanic {
 }
 
 impl WorkerPanic {
-    /// Re-raise the panic on this thread, with the message as payload
-    /// (the panic hook already reported the original and does not run
-    /// again).
+    /// Re-raise the panic on this thread with the message as payload
+    /// (the panic hook, which reported the original, does not run again).
     pub fn resume(self) -> ! {
         resume_unwind(Box::new(self.message))
     }
@@ -42,6 +41,8 @@ pub fn map_claimed<T: Send>(
     if workers.min(n) <= 1 {
         return (0..n).map(call).collect();
     }
+    // `Relaxed` suffices: the counter only hands out indices, and the
+    // results reach this thread through `join`.
     let next = AtomicUsize::new(0);
     let claim = || {
         let index = next.fetch_add(1, Ordering::Relaxed);
