@@ -19,7 +19,7 @@
 //!   3. evaluations return **in input order**, byte-identical to a
 //!      serial loop, regardless of thread count. A panicking
 //!      evaluation is re-raised on the caller's thread once the wave
-//!      is done, and the GA driver reports it as a
+//!      is done, and `run_ga` reports it as a
 //!      [`FlowError::Engine`](crate::FlowError::Engine).
 //! * [`thread_budget`] (one worker per core) is the default of both
 //!   [`Pipeline::run_many`](crate::Pipeline::run_many)'s dataset-level
@@ -33,7 +33,7 @@
 //! 1-thread and 32-thread runs byte-identical.
 //!
 //! Cache effectiveness is observable: [`CachedEvaluator::stats`]
-//! snapshots hit/miss counters, and the GA driver forwards
+//! snapshots hit/miss counters, and the GA driver (`run_ga`) forwards
 //! them as [`ProgressEvent::EvalCache`] once per generation.
 
 use std::collections::HashMap;

@@ -1226,29 +1226,29 @@ impl Pipeline {
         config.seed = seed;
         config.ga.nsga.seed = seed;
 
-        let mut builder = Study::for_dataset(dataset)
+        let mut study = Study::for_dataset(dataset)
             .config(config.clone())
             .eval_threads(eval_threads);
         if let Some(dir) = &opts.cache_dir {
-            builder = builder.cache_dir(dir);
+            study = study.cache_dir(dir);
         }
         if let Some(every) = opts.checkpoint_every {
-            builder = builder.checkpoint_every(every);
+            study = study.checkpoint_every(every);
         }
         if let Some(factory) = &opts.engine {
-            builder = builder.engine(factory(dataset, &config));
+            study = study.engine(factory(dataset, &config));
         }
         if let Some(progress) = &opts.progress {
             let progress = progress.clone();
-            builder = builder.progress(move |event| progress(dataset, event));
+            study = study.progress(move |event| progress(dataset, event));
         }
         if let Some(token) = &opts.cancel {
-            builder = builder.cancel_token(token.clone());
+            study = study.cancel_token(token.clone());
         }
         if let Some(writer) = &opts.store {
-            builder = builder.design_store_shared(Arc::clone(writer));
+            study = study.design_store_shared(Arc::clone(writer));
         }
-        builder.finish()
+        study.finish()
     }
 }
 
