@@ -16,7 +16,7 @@ use crate::individual::Individual;
 use crate::island::{IslandConfig, IslandModel, Resume};
 use crate::operators::{crossover, mutate_mixed, random_genome, CrossoverKind};
 use crate::problem::IntProblem;
-use crate::sort::{assign_crowding, fast_non_dominated_sort};
+use crate::sort::{annotate, assign_crowding, fast_non_dominated_sort};
 
 /// NSGA-II hyperparameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -357,40 +357,32 @@ fn tournament(pop: &[Individual], rng: &mut StdRng) -> usize {
     }
 }
 
-/// Sort and annotate ranks/crowding in place.
-fn annotate(pop: &mut [Individual]) {
-    let fronts = fast_non_dominated_sort(pop);
-    for front in &fronts {
-        assign_crowding(pop, front);
-    }
-}
-
 /// Keep the best `mu` individuals: whole fronts while they fit, then
-/// crowding-distance truncation of the spilling front.
-fn select_mu(mut pop: Vec<Individual>, mu: usize) -> Vec<Individual> {
-    let fronts = fast_non_dominated_sort(&mut pop);
-    for front in &fronts {
-        assign_crowding(&mut pop, front);
-    }
-    let mut selected: Vec<Individual> = Vec::with_capacity(mu);
-    for front in fronts {
-        if selected.len() + front.len() <= mu {
-            selected.extend(front.iter().map(|&i| pop[i].clone()));
-        } else {
-            let mut spill: Vec<usize> = front;
-            spill.sort_by(|&a, &b| {
+/// crowding-distance truncation of the spilling front. Survivors move
+/// out of `pop` in that order, keeping the ranks and crowding of the
+/// whole pool's sort.
+pub(crate) fn select_mu(mut pop: Vec<Individual>, mu: usize) -> Vec<Individual> {
+    let mut chosen: Vec<usize> = Vec::with_capacity(mu);
+    for mut front in fast_non_dominated_sort(&mut pop) {
+        assign_crowding(&mut pop, &front);
+        if chosen.len() + front.len() > mu {
+            front.sort_by(|&a, &b| {
                 pop[b]
                     .crowding
                     .partial_cmp(&pop[a].crowding)
                     .expect("crowding is never NaN")
             });
-            for &i in spill.iter().take(mu - selected.len()) {
-                selected.push(pop[i].clone());
-            }
+            front.truncate(mu - chosen.len());
+            chosen.extend(front);
             break;
         }
+        chosen.extend(front);
     }
-    selected
+    let mut pool: Vec<Option<Individual>> = pop.into_iter().map(Some).collect();
+    chosen
+        .into_iter()
+        .map(|i| pool[i].take().expect("a survivor is chosen once"))
+        .collect()
 }
 
 #[cfg(test)]

@@ -44,7 +44,7 @@ use crate::algorithm::{GenerationStats, NsgaConfig, NsgaResult, SearchCheckpoint
 use crate::individual::Individual;
 use crate::pool::{map_claimed, WorkerPanic};
 use crate::problem::IntProblem;
-use crate::sort::{assign_crowding, fast_non_dominated_sort};
+use crate::sort::annotate;
 
 /// Default migration cadence in generations (the `PE_MIGRATE_EVERY`
 /// fallback upstream).
@@ -549,7 +549,7 @@ impl IslandModel {
         // order again (the two passes keep each island's draws in one
         // contiguous, resumable stream segment per phase).
         for island in 0..n {
-            let incoming = outgoing[(island + n - 1) % n].clone();
+            let incoming = std::mem::take(&mut outgoing[(island + n - 1) % n]);
             let state = &mut states[island];
             let mut rng = StdRng::from_state(state.rng_state);
             let mut dominated: Vec<usize> = state
@@ -568,10 +568,7 @@ impl IslandModel {
                 state.population[slot] = migrant;
             }
             state.rng_state = rng.state();
-            let fronts = fast_non_dominated_sort(&mut state.population);
-            for front in &fronts {
-                assign_crowding(&mut state.population, front);
-            }
+            annotate(&mut state.population);
         }
     }
 
@@ -596,10 +593,7 @@ impl IslandModel {
                 .into_iter()
                 .flat_map(|state| state.population)
                 .collect();
-            let fronts = fast_non_dominated_sort(&mut union);
-            for front in &fronts {
-                assign_crowding(&mut union, front);
-            }
+            annotate(&mut union);
             union
         };
         let pareto_front: Vec<Individual> = population
