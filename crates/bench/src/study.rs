@@ -14,7 +14,8 @@ use pe_datasets::Dataset;
 
 use pe_nsga::NsgaConfig;
 use printed_axc::{
-    AxTrainConfig, DatasetStudy, Pipeline, ProgressEvent, RunManyOptions, Selected, StudyConfig,
+    AxTrainConfig, DatasetStudy, FlowError, Pipeline, ProgressEvent, RunManyOptions, Selected,
+    StudyConfig,
 };
 
 use crate::knobs::Knobs;
@@ -283,17 +284,28 @@ impl EvalCacheSummary {
 /// pool (one thread per core, capped at the dataset count), printing
 /// the run-wide evaluation-cache summary when done.
 ///
-/// # Panics
-///
-/// Panics if a study fails — the bench presets are valid and nothing
-/// cancels them, so a failure here is a bug.
+/// A failed study (e.g. a worker panic, reported as
+/// [`FlowError::Engine`]) prints `error: …` on stderr and exits the
+/// process with status 1.
 #[must_use]
 pub fn run_studies(budget: BudgetPreset, master_seed: u64) -> Vec<DatasetStudy> {
     let (opts, summary) = observed_options();
-    let studies = Pipeline::run_many(&Dataset::ALL, &study_config(budget, master_seed), &opts)
-        .expect("bench presets are valid and uncancelled");
+    let studies = or_exit(Pipeline::run_many(
+        &Dataset::ALL,
+        &study_config(budget, master_seed),
+        &opts,
+    ));
     println!("{}", summary.render());
     studies
+}
+
+/// The value of a successful run, or `error: {e}` on stderr and exit
+/// status 1.
+fn or_exit<T>(result: Result<T, FlowError>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1)
+    })
 }
 
 /// Worker-pool options from the [`Knobs`]: the `PE_THREADS` budget
@@ -364,15 +376,15 @@ pub fn observed_options() -> (RunManyOptions, Arc<EvalCacheSummary>) {
 /// (needed by experiments that reuse the float-model lineage, e.g.
 /// Fig. 4's engine comparison).
 ///
-/// # Panics
-///
-/// Panics if a study fails (see [`run_studies`]).
+/// A failed study exits the process as in [`run_studies`].
 #[must_use]
 pub fn run_selected(budget: BudgetPreset, master_seed: u64) -> Vec<Selected> {
     let (opts, summary) = observed_options();
-    let selected =
-        Pipeline::run_many_selected(&Dataset::ALL, &study_config(budget, master_seed), &opts)
-            .expect("bench presets are valid and uncancelled");
+    let selected = or_exit(Pipeline::run_many_selected(
+        &Dataset::ALL,
+        &study_config(budget, master_seed),
+        &opts,
+    ));
     println!("{}", summary.render());
     selected
 }
