@@ -95,9 +95,10 @@ fn sweep_fronts(pop: &[Individual]) -> Vec<Vec<usize>> {
     let mut fronts: Vec<Vec<usize>> = Vec::with_capacity(swept.len());
     let mut position = vec![0usize; pop.len()];
     for (k, front) in swept.iter().enumerate() {
-        let mut emitted = front.clone();
-        if k == 0 {
-            emitted.sort_unstable();
+        let emitted: Vec<usize> = if k == 0 {
+            let mut first = front.clone();
+            first.sort_unstable();
+            first
         } else {
             let prev = &swept[k - 1];
             let last = RangeMax::new(prev.iter().map(|&e| position[e]).collect());
@@ -111,8 +112,8 @@ fn sweep_fronts(pop: &[Individual]) -> Vec<Vec<usize>> {
                 })
                 .collect();
             keyed.sort_unstable();
-            emitted = keyed.into_iter().map(|(_, q)| q).collect();
-        }
+            keyed.into_iter().map(|(_, q)| q).collect()
+        };
         for (at, &i) in emitted.iter().enumerate() {
             position[i] = at;
         }
